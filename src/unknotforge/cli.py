@@ -206,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--format", choices=("text", "json", "csv"), default="text")
     top.add_argument("--input-format", choices=("auto",) + cd.FORMATS, default="auto")
-    top.add_argument("--census-limit", type=int, default=20)
-    top.add_argument("--oracle-limit", type=int, default=16)
+    top.add_argument("--census-limit", type=int, default=iv.DEFAULT_LIMIT)
+    top.add_argument("--oracle-limit", type=int, default=iv.DEFAULT_LIMIT)
     top.add_argument("--threads", type=int, default=0,
                      help="0 = auto; env UNKNOT_FORGE_THREADS overrides")
     top.add_argument("--seed", type=int, default=0)

@@ -1,8 +1,10 @@
-"""Diagrams over shadows, the bracket state sum, and classification.
+"""Diagrams over shadows, the scan-line bracket, and classification.
 
 A diagram is a shadow plus one bit per vertex: bit 0 puts the strand through
 slots {0,2} on top, bit 1 the strand through {1,3}.  The bracket is an exact
-integer Laurent polynomial in the smoothing variable; the writhe-normalized
+integer Laurent polynomial in the smoothing variable, summed by a scan line
+that adds crossings one at a time and keeps one table per matching of the
+open strand ends, not by enumerating all 2^n smoothings; the writhe-normalized
 form is invariant under all Reidemeister moves and is used, together with a
 greedy move-based simplifier, to classify diagrams at desk scale.
 """
@@ -178,7 +180,7 @@ def assignments(shadow: pm.Shadow):
 
 
 # ---------------------------------------------------------------------------
-# Writhe and the bracket state sum
+# Writhe and the scan-line bracket
 # ---------------------------------------------------------------------------
 
 def writhe(diagram: Diagram) -> int:
@@ -201,39 +203,69 @@ def writhe(diagram: Diagram) -> int:
 
 
 def kauffman_bracket(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPoly:
-    """State sum over all smoothings; exact integer coefficients."""
+    """Scan-line sum over all smoothings; exact integer coefficients.
+
+    Vertices are added one at a time, next the one with the most darts
+    already joined to added ones (ties to the lowest index).  An open end
+    is a dart of an added vertex whose twin is not added yet; a state is
+    the perfect matching of the open ends made by the smoothings chosen so
+    far, weighted by a table (a - b, closed loops) -> count.
+    """
     n = diagram.n
     if n > limit:
-        raise LimitExceeded(f"bracket state sum needs n <= {limit}, got {n}")
-    twin = diagram.shadow.twin
-    bits = diagram.bits
+        raise LimitExceeded(f"bracket needs n <= {limit}, got {n}")
     free = diagram.shadow.free_loops
-    nd = 4 * n
+    if n == 0 and free == 0:
+        raise PreconditionViolated("the bracket of an empty diagram is undefined")
+    twin = diagram.shadow.twin
+    joined = [0] * n
+    todo = set(range(n))
+    states = {(): {(0, 0): 1}}
+    for _ in range(n):
+        v = max(todo, key=lambda u: (joined[u], -u))
+        todo.discard(v)
+        base = 4 * v
+        glue = []           # edges to added vertices, and loop edges at v once
+        for d in range(base, base + 4):
+            t = twin[d]
+            if t >> 2 in todo:
+                joined[t >> 2] += 1
+            elif t >> 2 != v or d < t:
+                glue.append((d, t))
+        # A-smoothing pairs slots {0,1},{2,3} when bit 0 puts {0,2} on top
+        even = ((base, base + 1), (base + 2, base + 3))
+        odd = ((base, base + 3), (base + 1, base + 2))
+        smoothings = ((1, even), (-1, odd)) if diagram.bits[v] == 0 \
+            else ((1, odd), (-1, even))
+        nxt = {}
+        for match, table in states.items():
+            for sign, pairs in smoothings:
+                p = dict(match)
+                for x, y in pairs:
+                    p[x] = y
+                    p[y] = x
+                closed = 0
+                for d, t in glue:
+                    x = p.pop(d)
+                    if x == t:      # both ends of one path: a closed loop
+                        del p[t]
+                        closed += 1
+                    else:
+                        y = p.pop(t)
+                        p[x] = y
+                        p[y] = x
+                out = nxt.setdefault(tuple(sorted(p.items())), {})
+                for (w, loops), c in table.items():
+                    k = (w + sign, loops + closed)
+                    out[k] = out.get(k, 0) + c
+        states = nxt
     acc = {}
     delta_pows = [ONE]
-    for _ in range(n + free + 2):
-        delta_pows.append(delta_pows[-1] * DELTA)
-    for state in range(1 << n):
-        # A-smoothing (state bit 1) pairs darts with d^1 when the over-strand
-        # is the even pair (bit 0), with d^3 otherwise; B is the reverse
-        mask = [1 if ((state >> v) & 1) != bits[v] else 3 for v in range(n)]
-        seen = bytearray(nd)
-        loops = 0
-        for d0 in range(nd):
-            if seen[d0]:
-                continue
-            loops += 1
-            d = d0
-            while not seen[d]:
-                seen[d] = 1
-                t = twin[d]
-                d = t ^ mask[t >> 2]
-        loops //= 2
-        a_minus_b = 2 * bin(state).count("1") - n
-        # state bit 1 = A-smoothing
-        for e, c in delta_pows[loops + free - 1].terms:
-            k = e + a_minus_b
-            acc[k] = acc.get(k, 0) + c
+    for (w, loops), c in states[()].items():
+        while len(delta_pows) < loops + free:
+            delta_pows.append(delta_pows[-1] * DELTA)
+        for e, k in delta_pows[loops + free - 1].terms:
+            acc[e + w] = acc.get(e + w, 0) + c * k
     return LaurentPoly(acc)
 
 

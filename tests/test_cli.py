@@ -6,6 +6,7 @@ import pytest
 
 from unknotforge import cli
 from unknotforge import codec as cd
+from unknotforge import invariants as iv
 from unknotforge import planemap as pm
 
 
@@ -84,6 +85,21 @@ def test_classify_bits(run, fig8_file):
     assert code == 0
     assert out.strip() in {"unknot", "trefoil_left", "trefoil_right",
                            "figure_eight"} or out.startswith("other")
+
+
+def test_limits_default_to_the_library_limit(run, tmp_path):
+    args = cli.build_parser().parse_args(["classify", "x.rot"])
+    assert args.oracle_limit == args.census_limit == iv.DEFAULT_LIMIT
+    # a reduced alternating 17-crossing diagram: the simplifier is stuck,
+    # so the verdict comes from the bracket
+    s = pm.cn(17)
+    p = tmp_path / "cn17.rot"
+    p.write_text(cd.emit(s, "rotmap"))
+    bits = "".join(map(str, iv.alternating_diagram(s).bits))
+    code, out, _ = run("classify", str(p), "--bits", bits)
+    assert code == 0 and out.startswith("other[")
+    code, out, _ = run("--oracle-limit", "16", "classify", str(p), "--bits", bits)
+    assert code == 0 and out.strip() == "unresolved"
 
 
 def test_classify_usage_error(run, fig8_file):

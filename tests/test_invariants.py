@@ -6,7 +6,7 @@ import pytest
 
 from unknotforge import invariants as iv
 from unknotforge import planemap as pm
-from unknotforge.errors import LimitExceeded
+from unknotforge.errors import LimitExceeded, PreconditionViolated
 from unknotforge.invariants import LaurentPoly
 
 
@@ -55,6 +55,7 @@ def oracle_bracket(diagram):
 
 
 A = LaurentPoly.monomial
+BIG = 41            # a bracket limit that admits every large-n diagram here
 
 
 def test_trivial_bracket_is_one():
@@ -67,14 +68,35 @@ def test_one_vertex_brackets():
     assert iv.kauffman_bracket(iv.Diagram(s, (1,))) == A(-3, -1)
 
 
+def _doubled_ring_link(n):
+    """The doubled ring with an even number of crossings: two components."""
+    pairs = []
+    for i in range(n):
+        j = (i + 1) % n
+        pairs.append((pm.dart_at(i, 0), pm.dart_at(j, 1)))
+        pairs.append((pm.dart_at(i, 3), pm.dart_at(j, 2)))
+    return pm.build_shadow(pairs)
+
+
 def test_bracket_matches_oracle_on_corpus(corpus):
     rng = random.Random(5)
-    for name, s in corpus:
-        if s.n > 7:
-            continue
-        bits = tuple(rng.randrange(2) for _ in range(s.n))
-        d = iv.Diagram(s, bits)
-        assert iv.kauffman_bracket(d) == oracle_bracket(d), name
+    shadows = list(corpus)
+    shadows += [(f"random_shadow({n}, {n})", pm.random_shadow(n, n))
+                for n in range(3, 13)]
+    shadows += [(f"ring_link{n}", _doubled_ring_link(n)) for n in (2, 6)]
+    figure8 = pm.standard_figure8()
+    shadows += [("figure8+2 free", pm.Shadow(figure8.n, figure8.twin, 2)),
+                ("2 free", pm.Shadow(0, (), 2))]
+    for name, s in shadows:
+        assert s.n <= 12
+        for _ in range(3):
+            d = iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
+            assert iv.kauffman_bracket(d) == oracle_bracket(d), name
+
+
+def test_empty_diagram_bracket_is_undefined():
+    with pytest.raises(PreconditionViolated):
+        iv.kauffman_bracket(iv.Diagram(pm.Shadow(0, (), 0, 0), ()))
 
 
 def test_trefoil_polynomials_match_tabulated_values():
@@ -150,6 +172,39 @@ def test_mirror_inverts_the_variable(corpus):
         d = iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
         assert iv.normalized_poly(iv.mirror(d)) == \
             iv.normalized_poly(d).invert_variable(), name
+
+
+def _large_diagrams():
+    """Diagrams of 18-39 crossings, beyond the reach of a 2^n state sum."""
+    rng = random.Random(19)
+    shadows = [pm.random_shadow(n, n) for n in (18, 24, 31, 39)]
+    shadows += [pm.cn(21), pm.cn(39)]
+    return [iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
+            for s in shadows]
+
+
+def test_mirror_inverts_the_bracket_at_large_n():
+    for d in _large_diagrams():
+        assert iv.kauffman_bracket(iv.mirror(d), limit=BIG) == \
+            iv.kauffman_bracket(d, limit=BIG).invert_variable(), d.n
+
+
+def test_normalized_invariant_under_insertions_at_large_n():
+    rng = random.Random(23)
+    for d in _large_diagrams():
+        s = d.shadow
+        f = iv.normalized_poly(d, limit=BIG)
+        d2 = iv.insert_curl_diagram(d, rng.randrange(4 * s.n),
+                                    rng.random() < 0.5, rng.randrange(2))
+        assert iv.normalized_poly(d2, limit=BIG) == f, d.n
+        pokes = [(a, b) for face in pm.faces(s) for a in face for b in face
+                 if s.edge_id(a) != s.edge_id(b)]
+        d3 = None
+        while d3 is None:
+            a, b = pokes.pop(rng.randrange(len(pokes)))
+            d3 = iv.insert_poke_diagram(d, a, b, rng.random() < 0.5)
+        assert d3.n == d.n + 2
+        assert iv.normalized_poly(d3, limit=BIG) == f, d.n
 
 
 # ---------------------------------------------------------------------------
