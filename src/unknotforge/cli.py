@@ -150,26 +150,20 @@ def cmd_cutcheck(args):
     return 0
 
 
+# family name -> builder of the member for the parsed arguments
+FAMILIES = {
+    "chorizo": lambda args: pm.chorizo(args.k),
+    "cn": lambda args: pm.cn(args.k),
+    "trefoil": lambda args: pm.standard_trefoil(),
+    "figure8": lambda args: pm.standard_figure8(),
+    "one_vertex": lambda args: pm.one_vertex(),
+    "trivial": lambda args: pm.trivial(),
+    "random": lambda args: pm.random_shadow(args.k, args.seed),
+}
+
+
 def cmd_family(args):
-    name = args.name
-    if name == "chorizo":
-        shadow = pm.chorizo(args.k)
-    elif name == "cn":
-        shadow = pm.cn(args.k)
-    elif name == "trefoil":
-        shadow = pm.standard_trefoil()
-    elif name == "figure8":
-        shadow = pm.standard_figure8()
-    elif name == "one_vertex":
-        shadow = pm.one_vertex()
-    elif name == "trivial":
-        shadow = pm.trivial()
-    elif name == "random":
-        shadow = pm.random_shadow(args.k, args.seed)
-    else:
-        print(f"usage: unknown family {name!r}")
-        return USAGE_EXIT
-    sys.stdout.write(cd.emit(shadow, "rotmap"))
+    sys.stdout.write(cd.emit(FAMILIES[args.name](args), "rotmap"))
     return 0
 
 
@@ -245,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cutcheck)
 
     p = sub.add_parser("family", help="emit a built-in shadow family member")
-    p.add_argument("name", choices=("chorizo", "cn", "trefoil", "figure8",
-                                    "one_vertex", "trivial", "random"))
+    p.add_argument("name", choices=tuple(FAMILIES))
     p.add_argument("k", type=int, nargs="?", default=3)
     p.set_defaults(func=cmd_family)
 

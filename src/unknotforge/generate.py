@@ -1,9 +1,11 @@
 """Constructive generators of unknot diagrams and the trefoil builder.
 
 Every generator returns its diagrams together with machine-checkable
-certificates: a replay of recorded one-sided cycle collapses, bigon
-removals, and a descending residual takes each output back to the trivial
-diagram, independently of the polynomial oracle.
+certificates.  A certificate is a log of moves, outermost first: each move
+checks some required bits (a one-sided cycle collapse, a bigon removal, the
+even-case restriction to the overlay) and keeps the remaining bits on a
+smaller recorded shadow.  Replaying the log takes each output down to a
+diagram the simplifier clears, independently of the polynomial oracle.
 """
 
 from __future__ import annotations
@@ -72,8 +74,59 @@ def all_descending_diagrams(shadow: pm.Shadow):
 
 
 # ---------------------------------------------------------------------------
-# Lifts over quotient steps
+# Certificate moves
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Restrict:
+    """One certificate move: check required bits, keep the survivors' bits.
+
+    ``want`` lists the (vertex, bit) pairs the move needs; every other
+    vertex survives onto the smaller shadow ``child`` through
+    ``child_to_parent``.  ``bigon``, when set, holds the two edge ids that
+    must bound a 2-face of the diagram's shadow.
+    """
+
+    want: tuple
+    child: pm.Shadow
+    child_to_parent: tuple
+    bigon: frozenset | None = None
+
+    def apply(self, diagram: iv.Diagram) -> iv.Diagram:
+        """The diagram restricted to ``child``; InternalInvariantViolation
+        when a wanted bit or the bigon face is missing."""
+        bits = diagram.bits
+        for v, b in self.want:
+            if bits[v] != b:
+                raise InternalInvariantViolation(
+                    f"replay: vertex {v} needs bit {b}")
+        if self.bigon is not None:
+            shadow = diagram.shadow
+            if not any(len(f) == 2 and {shadow.edge_id(d) for d in f} == self.bigon
+                       for f in pm.faces(shadow)):
+                raise InternalInvariantViolation("split digon is not a bigon face")
+        return iv.Diagram(self.child, tuple(bits[pv] for pv in self.child_to_parent))
+
+    def lift(self, child_bits) -> tuple:
+        """The parent bits that this move restricts to ``child_bits``."""
+        bits = [None] * (len(self.want) + len(self.child_to_parent))
+        for cv, pv in enumerate(self.child_to_parent):
+            bits[pv] = child_bits[cv]
+        for v, b in self.want:
+            bits[v] = b
+        if None in bits:
+            raise InternalInvariantViolation("move leaves parent bits unset")
+        return tuple(bits)
+
+
+def _cycle_move(step: dc.QuotientStep, side: str, root_bit: int) -> Restrict:
+    """Collapse of the removed cycle with its strand entirely on ``side``."""
+    flip = 0 if side == pm.OVER else 1
+    root = step.cycle.root
+    want = tuple((v, root_bit if v == root else step.cycle_parity(v) ^ flip)
+                 for v in step.c_slots)
+    return Restrict(want, step.child, step.child_to_parent)
+
 
 def lift_over_cycle(diagram: iv.Diagram, step: dc.QuotientStep, side: str,
                     root_bit: int) -> iv.Diagram:
@@ -90,17 +143,8 @@ def lift_over_cycle(diagram: iv.Diagram, step: dc.QuotientStep, side: str,
     if len(step.c_slots) == 1 and side == pm.UNDER:
         raise SideIrrelevantForSingletonCycle(
             "a one-vertex cycle admits two lifts, chosen by the root bit")
-    bits = [None] * step.parent.n
-    for cv, pv in enumerate(step.child_to_parent):
-        bits[pv] = diagram.bits[cv]
-    root = step.cycle.root
-    for v in step.c_slots:
-        if v == root:
-            bits[v] = root_bit
-        else:
-            parity = step.cycle_parity(v)
-            bits[v] = parity if side == pm.OVER else parity ^ 1
-    return iv.Diagram(step.parent, tuple(bits))
+    return iv.Diagram(step.parent,
+                      _cycle_move(step, side, root_bit).lift(diagram.bits))
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +153,13 @@ def lift_over_cycle(diagram: iv.Diagram, step: dc.QuotientStep, side: str,
 
 @dataclass(frozen=True)
 class GenerationResult:
-    """Deduplicated diagrams plus per-diagram replay certificates."""
+    """Deduplicated diagrams plus one certificate (a tuple of moves,
+    outermost first) per diagram."""
 
     shadow: pm.Shadow
     method: str
     diagrams: tuple
     certificates: tuple
-    context: tuple
     bound: int
 
     @property
@@ -126,6 +170,12 @@ class GenerationResult:
     def bound_satisfied(self) -> bool:
         return self.count >= self.bound
 
+    @property
+    def context(self) -> tuple:
+        """``(method,)``, the certificate kind.  Its only reader is
+        ``perfbench/tracer.py``, which names replay spans by it."""
+        return (self.method,)
+
     def to_report(self):
         return {
             "method": self.method,
@@ -135,19 +185,6 @@ class GenerationResult:
             "diagrams": ["".join(map(str, d.bits)) for d in self.diagrams],
             "certificates": {"kind": self.method, "entries": len(self.certificates)},
         }
-
-
-def _merge(shadow, method, parts, bound):
-    """Union of generation results, deduplicated by assignment bits."""
-    seen = {}
-    for diagrams, certs, context in parts:
-        for d, c in zip(diagrams, certs):
-            if d.bits not in seen:
-                seen[d.bits] = (d, c, context)
-    diagrams = tuple(v[0] for v in seen.values())
-    certs = tuple(v[1] for v in seen.values())
-    contexts = tuple(v[2] for v in seen.values())
-    return GenerationResult(shadow, method, diagrams, certs, contexts, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -172,104 +209,48 @@ def gen_by_cycle_decomposition(shadow: pm.Shadow,
     for step in dec.steps:
         to_top.append(dict(cur))
         cur = {cv: cur[pv] for cv, pv in enumerate(step.child_to_parent)}
-    step_infos = []
+    moves = []
+    top_wants = []
     for step, up in zip(dec.steps, to_top):
-        root = up[step.cycle.root]
-        removed = [(up[v], step.cycle_parity(v))
-                   for v in step.c_slots if v != step.cycle.root]
-        step_infos.append((root, tuple(removed)))
-    choice_sets = []
-    for root, removed in step_infos:
-        if removed:
-            choice_sets.append([(side, rb) for side in (pm.OVER, pm.UNDER)
-                                for rb in (0, 1)])
-        else:
-            choice_sets.append([(pm.OVER, 0), (pm.OVER, 1)])
+        sides = (pm.OVER, pm.UNDER) if len(step.c_slots) > 1 else (pm.OVER,)
+        step_moves = [_cycle_move(step, side, rb) for side in sides for rb in (0, 1)]
+        moves.append(step_moves)
+        top_wants.append([tuple((up[v], b) for v, b in m.want) for m in step_moves])
     diagrams = []
-    certs = []
-    for combo in itertools.product(*choice_sets):
+    for combo in itertools.product(*top_wants):
         bits = [None] * shadow.n
-        for (root, removed), (side, rb) in zip(step_infos, combo):
-            bits[root] = rb
-            for v, parity in removed:
-                bits[v] = parity if side == pm.OVER else parity ^ 1
-        if any(b is None for b in bits):
+        for want in combo:
+            for v, b in want:
+                bits[v] = b
+        if None in bits:
             raise InternalInvariantViolation("cycle steps do not cover all vertices")
         diagrams.append(iv.Diagram(shadow, tuple(bits)))
-        certs.append(combo)
-    expected = 1
-    for cs in choice_sets:
-        expected *= len(cs)
-    if len({d.bits for d in diagrams}) != expected:
+    certs = tuple(itertools.product(*moves))
+    if len({d.bits for d in diagrams}) != len(certs):
         raise InternalInvariantViolation("lift combinations collided")
-    return GenerationResult(shadow, "cycles", tuple(diagrams), tuple(certs),
-                            ("cycles", dec), bound)
+    return GenerationResult(shadow, "cycles", tuple(diagrams), certs, bound)
 
 
 # ---------------------------------------------------------------------------
 # Generator 2: digon structures
 # ---------------------------------------------------------------------------
 
-def _split_chain(overlay: dg.MarkedOverlay, stop_m: int):
-    """Split avoiding digons until ``stop_m`` shared vertices remain."""
-    levels = [overlay]
-    lifts = []
+def _split_moves(overlay: dg.MarkedOverlay, stop_m: int):
+    """Split avoiding digons until ``stop_m`` shared vertices remain.
+
+    Returns, outermost first, each split's two moves (blue on top, red on
+    top), and the last overlay.
+    """
+    moves = []
     cur = overlay
     while cur.m > stop_m:
         g = dg.digon_avoiding(cur)
         cur, lift = dg.split_digon(cur, g)
-        levels.append(cur)
-        lifts.append((g, lift))
-    return levels, lifts
-
-
-def _lift_assignments(base_assignments, lifts):
-    """Fan each assignment out by two per split, bottom up.
-
-    Returns (bits, sides) pairs where sides records the colour put on top at
-    each split, outermost first.
-    """
-    out = [(bits, ()) for bits in base_assignments]
-    for g, lift in reversed(lifts):
-        nxt = []
-        for bits, sides in out:
-            for side, side_bits in (("blue", lift.blue_over_bits),
-                                    ("red", lift.red_over_bits)):
-                parent_bits = {}
-                for cv, pv in enumerate(lift.child_to_parent):
-                    parent_bits[pv] = bits[cv]
-                parent_bits.update(side_bits)
-                n_parent = len(lift.child_to_parent) + 2
-                nxt.append((tuple(parent_bits[v] for v in range(n_parent)),
-                            (side,) + sides))
-        out = nxt
-    return out
-
-
-def gray_residual(shadow: pm.Shadow, blue: dc.StraightAheadCycle,
-                  red: dc.StraightAheadCycle):
-    """The shadow left after deleting both cycles' edges, with its vertex map."""
-    colored = blue.edge_ids(shadow) | red.edge_ids(shadow)
-    colored_darts = set()
-    for e in colored:
-        colored_darts.add(e)
-        colored_darts.add(shadow.twin[e])
-    through = {}
-    dead_extra = set()
-    for v in range(shadow.n):
-        cds = [pm.dart_at(v, s) for s in range(4)
-               if pm.dart_at(v, s) in colored_darts]
-        if len(cds) == 4:
-            dead_extra.add(v)
-        elif len(cds) == 2:
-            rest = [pm.dart_at(v, s) for s in range(4)
-                    if pm.dart_at(v, s) not in cds]
-            through[rest[0]] = rest[1]
-            through[rest[1]] = rest[0]
-        elif cds:
-            raise InternalInvariantViolation("odd colour degree at a vertex")
-    ex = pm.excise(shadow, through, frozenset(colored), frozenset(dead_extra))
-    return ex
+        bigon = frozenset((g.blue_edge, g.red_edge))
+        moves.append([Restrict(tuple(side.items()), cur.shadow,
+                               lift.child_to_parent, bigon)
+                      for side in (lift.blue_over_bits, lift.red_over_bits)])
+    return moves, cur
 
 
 def gen_by_digons(shadow: pm.Shadow, pair: dc.SharedCyclePair,
@@ -287,90 +268,76 @@ def gen_by_digons(shadow: pm.Shadow, pair: dc.SharedCyclePair,
         raise PreconditionViolated("digon generation needs m >= 1")
     t_shadow = pair.subshadow
     overlay = dg.build_overlay(t_shadow, pair.blue, pair.red)
+    steps = [[_cycle_move(step, pm.OVER, 0)] for step in pair.lift_chain]
 
     if overlay.kind == "odd":
-        levels, lifts = _split_chain(overlay, 1)
-        base = levels[-1]
+        method = "digons-odd"
+        splits, base = _split_moves(overlay, 1)
         if base.shadow.n != 1:
             raise InternalInvariantViolation("odd reduction missed the base")
-        assignments = _lift_assignments([(0,), (1,)], lifts)
-        t_diagrams = [(iv.Diagram(t_shadow, bits), ("digons-odd", sides))
-                      for bits, sides in assignments]
-        context = ("digons-odd", pair, tuple(levels), tuple(lifts))
+        bases = [(0,), (1,)]
     else:
-        levels, lifts = _split_chain(overlay, 0)
-        base = levels[-1]
+        method = "digons-even"
+        splits, base = _split_moves(overlay, 0)
         if base.shadow.n != 0 or base.shadow.free_loops != 2:
             raise InternalInvariantViolation("even reduction missed the unlink")
-        assignments = _lift_assignments([()], lifts)
-        ext = _even_extension(t_shadow, pair, overlay)
-        t_diagrams = []
-        for bits, sides in assignments:
-            full = list(ext.fixed_bits)
-            for ov_v, b in enumerate(bits):
-                full[overlay.parent_vertex[ov_v]] = b
-            if any(b is None for b in full):
-                raise InternalInvariantViolation("extension left unset bits")
-            t_diagrams.append((iv.Diagram(t_shadow, tuple(full)),
-                               ("digons-even", sides)))
-        context = ("digons-even", pair, tuple(levels), tuple(lifts), ext)
+        bases = [()]
+        steps.append([_even_extension(t_shadow, pair, overlay)])
 
-    diagrams = []
-    certs = []
-    for d, cert in t_diagrams:
-        lifted = d
-        for step in reversed(pair.lift_chain):
-            lifted = lift_over_cycle(lifted, step, pm.OVER, 0)
-        diagrams.append(lifted)
-        certs.append(cert)
+    # lift bottom up; each split doubles every assignment
+    lifted = [(bits, ()) for bits in bases]
+    for options in reversed(steps + splits):
+        lifted = [(m.lift(bits), (m,) + cert)
+                  for bits, cert in lifted for m in options]
+    diagrams = tuple(iv.Diagram(shadow, bits) for bits, _ in lifted)
     if len({d.bits for d in diagrams}) != len(diagrams):
         raise InternalInvariantViolation("digon lifts collided")
-    method = context[0]
-    return GenerationResult(shadow, method, tuple(diagrams), tuple(certs),
-                            context, bound)
+    return GenerationResult(shadow, method, diagrams,
+                            tuple(cert for _, cert in lifted), bound)
 
 
-@dataclass(frozen=True)
-class EvenExtension:
-    """Fixed bits of the even-case extension: colours over gray, descending
-    gray residual, zero bits at the two roots.  Overlay vertices stay None
-    and are filled per unlink assignment."""
+def _even_extension(t_shadow, pair, overlay) -> Restrict:
+    """The even case's restriction of the subshadow to the overlay.
 
-    fixed_bits: tuple
-    gray_excision: pm.Excision
-    gray_diagram: iv.Diagram
-    mixed_bits: dict
-    root_bits: dict
-
-
-def _even_extension(t_shadow, pair, overlay) -> EvenExtension:
-    blue_ids = pair.blue.edge_ids(t_shadow)
-    red_ids = pair.red.edge_ids(t_shadow)
-    colored = blue_ids | red_ids
+    It wants colour over gray wherever one coloured pass crosses a gray
+    strand, zero bits at the two roots, and the descending diagram on the
+    gray residual (the shadow left after deleting both cycles' edges).
+    That residual must simplify to the trivial diagram; this is checked
+    here, once for every output that shares it.
+    """
+    colored = pair.blue.edge_ids(t_shadow) | pair.red.edge_ids(t_shadow)
     colored_darts = set()
     for e in colored:
         colored_darts.add(e)
         colored_darts.add(t_shadow.twin[e])
-    bits = [None] * t_shadow.n
-    mixed_bits = {}
+    want = {}
+    through = {}
+    dead_extra = set()
     for v in range(t_shadow.n):
-        cds = [pm.dart_at(v, s) for s in range(4)
-               if pm.dart_at(v, s) in colored_darts]
-        if len(cds) == 2 and (cds[0] ^ cds[1]) & 3 == 2:
-            # one colored pass crossing gray: colour goes on top
-            bits[v] = cds[0] & 1
-            mixed_bits[v] = bits[v]
-    root_bits = {}
+        darts = [pm.dart_at(v, s) for s in range(4)]
+        cds = [d for d in darts if d in colored_darts]
+        if len(cds) == 4:
+            dead_extra.add(v)
+        elif len(cds) == 2:
+            if (cds[0] ^ cds[1]) & 3 == 2:
+                # one colored pass crossing gray: colour goes on top
+                want[v] = cds[0] & 1
+            rest = [d for d in darts if d not in cds]
+            through[rest[0]] = rest[1]
+            through[rest[1]] = rest[0]
+        elif cds:
+            raise InternalInvariantViolation("odd colour degree at a vertex")
     for root in (pair.blue.root, pair.red.root):
-        bits[root] = 0
-        root_bits[root] = 0
-    ex = gray_residual(t_shadow, pair.blue, pair.red)
-    gray_diag = descending_diagram(ex.child)
+        want[root] = 0
+    ex = pm.excise(t_shadow, through, frozenset(colored), frozenset(dead_extra))
+    gray = descending_diagram(ex.child)
+    if not _simplifies_to_trivial(gray):
+        raise InternalInvariantViolation("gray residual does not simplify")
     for gv, tv in enumerate(ex.old_vertex):
-        if bits[tv] is not None:
+        if tv in want:
             raise InternalInvariantViolation("gray vertex already assigned")
-        bits[tv] = gray_diag.bits[gv]
-    return EvenExtension(tuple(bits), ex, gray_diag, mixed_bits, root_bits)
+        want[tv] = gray.bits[gv]
+    return Restrict(tuple(want.items()), overlay.shadow, overlay.parent_vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +357,9 @@ def generate_unknots(shadow: pm.Shadow, method: str = "auto") -> GenerationResul
     n = shadow.n
     bound = 1 << ceil_cbrt(n)
     if method == "descending":
-        parts = all_descending_diagrams(shadow)
-        return _merge(shadow, "descending",
-                      [([d for d, _ in parts], [c for _, c in parts],
-                        ("descending",))], 0)
+        diagrams = tuple(d for d, _ in all_descending_diagrams(shadow))
+        return GenerationResult(shadow, "descending", diagrams,
+                                ((),) * len(diagrams), 0)
     dec = dc.greedy_cycle_decomposition(shadow)
     if method == "cycles":
         return gen_by_cycle_decomposition(shadow, dec, bound)
@@ -413,101 +379,22 @@ def generate_unknots(shadow: pm.Shadow, method: str = "auto") -> GenerationResul
 # Certificate replay
 # ---------------------------------------------------------------------------
 
-def _collapse_step(diagram: iv.Diagram, step: dc.QuotientStep, side: str,
-                   root_bit: int | None) -> iv.Diagram:
-    """Verify the removed cycle is one-sided and restrict the assignment."""
-    for v in step.c_slots:
-        if v == step.cycle.root:
-            if root_bit is not None and diagram.bits[v] != root_bit:
-                raise InternalInvariantViolation("root bit mismatch in replay")
-            continue
-        parity = step.cycle_parity(v)
-        want = parity if side == pm.OVER else parity ^ 1
-        if diagram.bits[v] != want:
-            raise InternalInvariantViolation("cycle strand is not one-sided")
-    bits = tuple(diagram.bits[pv] for pv in step.child_to_parent)
-    return iv.Diagram(step.child, bits)
-
-
-def _replay_splits(diagram: iv.Diagram, levels, lifts, sides) -> iv.Diagram:
-    """Verify and apply the recorded bigon removals, outermost first."""
-    cur = diagram
-    for (g, lift), side, child_level in zip(lifts, sides, levels[1:]):
-        shadow = cur.shadow
-        bigon = None
-        want_edges = {g.blue_edge, g.red_edge}
-        for f in pm.faces(shadow):
-            if len(f) == 2 and {shadow.edge_id(d) for d in f} == want_edges:
-                bigon = f
-                break
-        if bigon is None:
-            raise InternalInvariantViolation("split digon is not a bigon face")
-        want = lift.blue_over_bits if side == "blue" else lift.red_over_bits
-        for v in (lift.u, lift.v):
-            if cur.bits[v] != want[v]:
-                raise InternalInvariantViolation("split bits do not match a side")
-        bits = tuple(cur.bits[pv] for pv in lift.child_to_parent)
-        cur = iv.Diagram(child_level.shadow, bits)
-    return cur
-
-
 def _simplifies_to_trivial(diagram: iv.Diagram) -> bool:
-    reduced, _ = iv.simplify(diagram)
-    return reduced.n == 0
+    return diagram.n == 0 or iv.simplify(diagram)[0].n == 0
 
 
 def replay_certificate(result: GenerationResult, index: int) -> bool:
-    """Re-derive the trivial diagram from the recorded construction trail."""
-    diagram = result.diagrams[index]
-    cert = result.certificates[index]
-    context = result.context
-    if isinstance(context, tuple) and context and isinstance(context[0], tuple):
-        context = context[index]     # merged results carry one per diagram
-    kind = context[0]
-    if kind == "descending":
-        return _simplifies_to_trivial(diagram)
-    if kind == "cycles":
-        dec = context[1]
-        cur = diagram
-        for step, (side, root_bit) in zip(dec.steps, cert):
-            cur = _collapse_step(cur, step, side, root_bit)
-        return cur.shadow.is_trivial()
-    if kind in ("digons-odd", "digons-even"):
-        pair = context[1]
-        levels = context[2]
-        lifts = context[3]
-        sides = cert[1]
-        cur = diagram
-        for step in pair.lift_chain:
-            cur = _collapse_step(cur, step, pm.OVER, 0)
-        if cur.shadow != pair.subshadow:
-            raise InternalInvariantViolation("lift chain replay drifted")
-        if kind == "digons-odd":
-            cur = _replay_splits(cur, levels, lifts, sides)
-            return cur.n == 1 and _simplifies_to_trivial(cur)
-        ext = context[4]
-        for v, b in ext.mixed_bits.items():
-            if cur.bits[v] != b:
-                raise InternalInvariantViolation("colour-over-gray bit flipped")
-        for v, b in ext.root_bits.items():
-            if cur.bits[v] != b:
-                raise InternalInvariantViolation("root bit flipped")
-        for gv, tv in enumerate(ext.gray_excision.old_vertex):
-            if cur.bits[tv] != ext.gray_diagram.bits[gv]:
-                raise InternalInvariantViolation("gray residual bit flipped")
-        if not _simplifies_to_trivial(ext.gray_diagram):
-            return False
-        overlay0 = levels[0]
-        o_bits = tuple(cur.bits[overlay0.parent_vertex[ovv]]
-                       for ovv in range(overlay0.shadow.n))
-        unlink = _replay_splits(iv.Diagram(overlay0.shadow, o_bits),
-                                levels, lifts, sides)
-        return unlink.n == 0 and unlink.shadow.free_loops == 2
-    raise PreconditionViolated(f"unknown certificate kind {kind!r}")
+    """Apply the diagram's recorded moves, outermost first; the construction
+    holds when no crossings are left or the simplifier clears the rest."""
+    cur = result.diagrams[index]
+    for move in result.certificates[index]:
+        cur = move.apply(cur)
+    return _simplifies_to_trivial(cur)
 
 
 def replay_all(result: GenerationResult) -> bool:
     return all(replay_certificate(result, i) for i in range(result.count))
+
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,6 @@ class LaurentPoly:
 
 ONE = LaurentPoly({0: 1})
 DELTA = LaurentPoly({2: -1, -2: -1})          # loop value
-MINUS_A_CUBED = LaurentPoly({3: -1})          # writhe normalizer base
 
 
 def _minus_a_cubed_power(k: int) -> LaurentPoly:
@@ -711,10 +710,16 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     Simplification to zero crossings is a sound unknot certificate; a
     non-trivial normalized polynomial is a sound knotted certificate.  A
     trivial polynomial without a simplifier certificate is reported as
-    unknot flagged presumed.
+    unknot flagged presumed.  A diagram that reduces to no crossings but
+    not to exactly one loop (the empty diagram, a split unlink) is no knot
+    diagram: PreconditionViolated.
     """
     reduced, _ = simplify(diagram, riii_depth)
     if reduced.n == 0:
+        if reduced.shadow.free_loops != 1:
+            raise PreconditionViolated(
+                f"not a knot diagram: it reduces to {reduced.shadow.free_loops} "
+                "free loops")
         return UNKNOT
     try:
         f = normalized_poly(reduced, limit)

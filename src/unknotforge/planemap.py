@@ -578,16 +578,6 @@ def excise(shadow: Shadow, through: dict, deleted_edges=frozenset(),
     return Excision(child, tuple(alive), new_vertex, edge_paths, tuple(loop_paths))
 
 
-def straight_through(shadow: Shadow, vertices) -> dict:
-    """Through-map letting every strand pass straight over the given vertices."""
-    out = {}
-    for v in vertices:
-        for s in range(4):
-            d = dart_at(v, s)
-            out[d] = d ^ 2
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Local expansion moves (used by random generation and invariance tests)
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command-line checks."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -27,6 +28,20 @@ def fig8_file(tmp_path):
 
 
 def test_family_and_validate(run, tmp_path):
+    expected = {
+        ("chorizo", "4"): pm.chorizo(4),
+        ("cn", "5"): pm.cn(5),
+        ("trefoil",): pm.standard_trefoil(),
+        ("figure8",): pm.standard_figure8(),
+        ("one_vertex",): pm.one_vertex(),
+        ("trivial",): pm.trivial(),
+        ("random", "11"): pm.random_shadow(11, 6),
+    }
+    assert sorted(name for name, *_ in expected) == sorted(cli.FAMILIES)
+    for argv, shadow in expected.items():
+        code, out, _ = run("--seed", "6", "family", *argv)
+        assert code == 0, argv
+        assert out == cd.emit(shadow, "rotmap"), argv
     code, out, _ = run("family", "chorizo", "4")
     assert code == 0 and out.startswith("shadow v=4")
     p = tmp_path / "c4.rot"
@@ -78,6 +93,25 @@ def test_generate_methods(run, tmp_path):
         code, out, _ = run("generate", str(p), "--method", method)
         assert code == 0, method
         assert "bound_satisfied: true" in out or method == "descending"
+
+
+GENERATE_PINS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "generate_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", GENERATE_PINS,
+                         ids=lambda pin: f"{pin['name']}-{pin['method']}")
+def test_generate_json_output_is_pinned(run, tmp_path, pin):
+    # stdout and exit code of `generate --format json`, recorded before the
+    # certificates became move logs; a forced route that misses the bound
+    # still prints its family and exits 2
+    code, out, _ = run(*pin["family"])
+    assert code == 0
+    p = tmp_path / "shadow.rot"
+    p.write_text(out)
+    code, out, _ = run("--format", "json", "generate", str(p),
+                       "--method", pin["method"])
+    assert (code, out) == (pin["exit"], pin["stdout"])
 
 
 def test_classify_bits(run, fig8_file):

@@ -1,12 +1,17 @@
 """Generators: descending, cycle lifts, digon routes, trefoil, even family."""
 
+import dataclasses
+
 import pytest
 
 from unknotforge import decomp as dc
 from unknotforge import generate as gn
 from unknotforge import invariants as iv
 from unknotforge import planemap as pm
-from unknotforge.errors import SideIrrelevantForSingletonCycle
+from unknotforge.errors import (
+    InternalInvariantViolation,
+    SideIrrelevantForSingletonCycle,
+)
 
 
 def test_ceil_cbrt():
@@ -142,7 +147,9 @@ def test_digon_generation_odd(corpus):
         assert gn.replay_all(res)
 
 
-def test_digon_generation_even():
+def _even_digon_result():
+    """Digon generation on the last primary pair of ``random_shadow(8, 908)``
+    sharing an even number m >= 2 of vertices; returns (result, m)."""
     s = pm.random_shadow(8, 908)
     d = dc.greedy_cycle_decomposition(s)
     best = None
@@ -153,12 +160,55 @@ def test_digon_generation_even():
                 best = (r, t, m)
     assert best is not None
     pair = dc.reduce_to_subshadow(s, d, best[0], best[1])
-    res = gn.gen_by_digons(s, pair)
+    return gn.gen_by_digons(s, pair), best[2]
+
+
+def test_digon_generation_even():
+    res, m = _even_digon_result()
     assert res.method == "digons-even"
-    assert res.count == 1 << (best[2] // 2)
+    assert res.count == 1 << (m // 2)
     for dd in res.diagrams:
         assert iv.classify(dd).kind == "unknot"
     assert gn.replay_all(res)
+
+
+@pytest.mark.parametrize("route, rejected, flips", [
+    ("cycles", 72, 72),
+    ("digons-odd", 64, 72),
+    ("digons-even", 32, 32),
+])
+def test_replay_rejects_flipped_bits(route, rejected, flips):
+    # each of the first outputs, with one bit flipped, is replayed against
+    # its original certificate
+    if route == "cycles":
+        res = gn.generate_unknots(pm.random_shadow(9, 5), method="cycles")
+    elif route == "digons-odd":
+        res = gn.generate_unknots(pm.cn(9))
+    else:
+        res, _ = _even_digon_result()
+    assert res.method == route
+    family = {d.bits for d in res.diagrams}
+    accepted = []
+    total = 0
+    for i in range(min(8, res.count)):
+        d = res.diagrams[i]
+        for v in range(d.n):
+            bits = list(d.bits)
+            bits[v] ^= 1
+            flipped = iv.Diagram(d.shadow, tuple(bits))
+            tampered = dataclasses.replace(
+                res, diagrams=res.diagrams[:i] + (flipped,) + res.diagrams[i + 1:])
+            total += 1
+            try:
+                ok = gn.replay_certificate(tampered, i)
+            except InternalInvariantViolation:
+                ok = False
+            if ok:
+                accepted.append((v, flipped.bits))
+    assert (total - len(accepted), total) == (rejected, flips)
+    # the odd route's base vertex is free: both its values are members
+    assert len({v for v, _ in accepted}) <= 1
+    assert all(bits in family for _, bits in accepted)
 
 
 def test_generate_unknots_meets_bound(corpus_shadow):

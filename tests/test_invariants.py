@@ -276,6 +276,14 @@ def test_classify_one_vertex_diagrams():
     assert iv.classify(iv.Diagram(s, (1,))) == iv.UNKNOT
 
 
+def test_classify_rejects_diagrams_that_are_no_knot():
+    empty = iv.Diagram(pm.Shadow(0, (), 0, 0), ())
+    unlink = iv.Diagram(pm.Shadow(0, (), 2, 0), ())
+    for d in (empty, unlink):
+        with pytest.raises(PreconditionViolated):
+            iv.classify(d)
+
+
 def test_classify_trefoils_and_mirror_swap():
     alt = iv.alternating_diagram(pm.standard_trefoil())
     a, b = iv.classify(alt), iv.classify(iv.mirror(alt))
