@@ -106,8 +106,6 @@ class SplitLift:
     or the red strand; every other vertex copies through ``child_to_parent``.
     """
 
-    u: int
-    v: int
     blue_over_bits: dict
     red_over_bits: dict
     child_to_parent: tuple
@@ -298,7 +296,7 @@ def split_digon(overlay: MarkedOverlay, g: Digon):
         bp = overlay.blue_parity(w)
         blue_over[w] = bp
         red_over[w] = bp ^ 1
-    lift = SplitLift(g.u, g.v, blue_over, red_over, ex.old_vertex)
+    lift = SplitLift(blue_over, red_over, ex.old_vertex)
 
     if child.n == 0:
         child_colors = ()

@@ -62,14 +62,13 @@ def descending_diagram(shadow: pm.Shadow, start_edge: int | None = None,
 
 def all_descending_diagrams(shadow: pm.Shadow):
     """Distinct descending diagrams over every start edge and direction."""
-    out = {}
     if shadow.n == 0:
-        d = iv.trivial_diagram()
-        return [(d, ("descending", None, "fwd"))]
+        return [iv.trivial_diagram()]
+    out = {}
     for e in shadow.edges():
         for direction in ("fwd", "rev"):
             d = descending_diagram(shadow, e, direction)
-            out.setdefault(d.bits, (d, ("descending", e, direction)))
+            out.setdefault(d.bits, d)
     return list(out.values())
 
 
@@ -357,7 +356,7 @@ def generate_unknots(shadow: pm.Shadow, method: str = "auto") -> GenerationResul
     n = shadow.n
     bound = 1 << ceil_cbrt(n)
     if method == "descending":
-        diagrams = tuple(d for d, _ in all_descending_diagrams(shadow))
+        diagrams = tuple(all_descending_diagrams(shadow))
         return GenerationResult(shadow, "descending", diagrams,
                                 ((),) * len(diagrams), 0)
     dec = dc.greedy_cycle_decomposition(shadow)
@@ -393,8 +392,35 @@ def replay_certificate(result: GenerationResult, index: int) -> bool:
 
 
 def replay_all(result: GenerationResult) -> bool:
-    return all(replay_certificate(result, i) for i in range(result.count))
+    """Does every output replay as in ``replay_certificate``?  False at the
+    first output whose moves fail a check or whose end rule fails.
 
+    Outputs share certificate suffixes: the rest of a replay depends only
+    on the moves still to come and the diagram they start from, so once
+    one output has replayed to the end rule from some move onward, another
+    output reaching the same remaining moves with the same diagram is done.
+    An output's own bits always meet its first move's checks, since no
+    other output brings them.
+    """
+    done = set()
+    for cur, cert in zip(result.diagrams, result.certificates):
+        ids = tuple(map(id, cert))
+        path = []
+        try:
+            for k, move in enumerate(cert):
+                if k:
+                    key = (ids[k:], id(cur.shadow), cur.bits)
+                    if key in done:
+                        break
+                    path.append(key)
+                cur = move.apply(cur)
+            else:
+                if not _simplifies_to_trivial(cur):
+                    return False
+        except InternalInvariantViolation:
+            return False
+        done.update(path)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -703,6 +703,80 @@ def reference_polynomials():
     }
 
 
+# each memo of a shadow record stops growing at this many entries
+_MEMO_CAP = 4096
+
+
+class _ShadowRecord:
+    """Classification state of one shadow.
+
+    R1 curl removal never reads a bit, so the shadow's curl quotient (its R1
+    closure, and ``keep``, the parent vertex of each quotient vertex) is
+    computed once, and a diagram's verdict depends only on its bits at
+    ``keep``.  Verdicts are memoized on those bits, ``limit`` and
+    ``riii_depth``; polynomial verdicts on the reduced diagram.
+    """
+
+    __slots__ = ("shadow", "quotient", "keep", "verdicts", "residues")
+
+    def __init__(self, shadow: pm.Shadow):
+        state = _Mut(Diagram(shadow, (0,) * shadow.n))
+        work = set(range(shadow.n))
+        while work:
+            v = work.pop()
+            if state.alive[v]:
+                hit = _try_r1(state, v)
+                if hit:
+                    work.update(u for u in hit[1] if state.alive[u])
+        reduced, self.keep = state.to_diagram()
+        self.shadow = shadow
+        self.quotient = reduced.shadow
+        self.verdicts = {}
+        self.residues = {}
+
+    def verdict(self, bits: tuple, limit: int, riii_depth: int) -> KnotClass:
+        """The class of the quotient diagram with these bits."""
+        key = (bits, limit, riii_depth)
+        cls = self.verdicts.get(key)
+        if cls is None:
+            cls = self._classify(Diagram(self.quotient, bits), limit, riii_depth)
+            if len(self.verdicts) < _MEMO_CAP:
+                self.verdicts[key] = cls
+        return cls
+
+    def _classify(self, diagram, limit, riii_depth):
+        reduced, _ = simplify(diagram, riii_depth)
+        if reduced.n == 0:
+            if reduced.shadow.free_loops != 1:
+                raise PreconditionViolated(
+                    f"not a knot diagram: it reduces to {reduced.shadow.free_loops} "
+                    "free loops")
+            return UNKNOT
+        if reduced.n > limit:
+            return UNRESOLVED
+        cls = self.residues.get(reduced)
+        if cls is None:
+            f = normalized_poly(reduced, limit)
+            if f == ONE:
+                cls = KnotClass("unknot", presumed=True)
+            else:
+                cls = reference_polynomials().get(f) or KnotClass("other", f)
+            if len(self.residues) < _MEMO_CAP:
+                self.residues[reduced] = cls
+        return cls
+
+
+_record = None
+
+
+def _shadow_record(shadow: pm.Shadow) -> _ShadowRecord:
+    """The record of this shadow; a new one evicts the last one's."""
+    global _record
+    if _record is None or (_record.shadow is not shadow and _record.shadow != shadow):
+        _record = _ShadowRecord(shadow)
+    return _record
+
+
 def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
              riii_depth: int = 0) -> KnotClass:
     """Certified-unknot via simplification, else polynomial lookup.
@@ -713,44 +787,42 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     unknot flagged presumed.  A diagram that reduces to no crossings but
     not to exactly one loop (the empty diagram, a split unlink) is no knot
     diagram: PreconditionViolated.
+
+    Both certificates are taken on the shadow's curl quotient, with the
+    bits restricted to its vertices; removing a curl keeps the knot.
+    Verdicts are memoized for the last shadow classified, on the restricted
+    bits, ``limit`` and ``riii_depth``, and polynomials on the reduced
+    diagram, so repeated verdicts on one shadow cost a lookup.
     """
-    reduced, _ = simplify(diagram, riii_depth)
-    if reduced.n == 0:
-        if reduced.shadow.free_loops != 1:
-            raise PreconditionViolated(
-                f"not a knot diagram: it reduces to {reduced.shadow.free_loops} "
-                "free loops")
-        return UNKNOT
-    try:
-        f = normalized_poly(reduced, limit)
-    except LimitExceeded:
-        return UNRESOLVED
-    if f == ONE:
-        return KnotClass("unknot", presumed=True)
-    named = reference_polynomials().get(f)
-    if named is not None:
-        return named
-    return KnotClass("other", f)
+    rec = _shadow_record(diagram.shadow)
+    bits = diagram.bits
+    return rec.verdict(tuple(bits[v] for v in rec.keep), limit, riii_depth)
 
 
 def _census_chunk(args):
     shadow, start, stop, limit, riii_depth = args
+    rec = _shadow_record(shadow)
+    q = len(rec.keep)
+    weight = 1 << (shadow.n - q)
     counts = {}
-    n = shadow.n
     for k in range(start, stop):
-        d = Diagram(shadow, tuple((k >> i) & 1 for i in range(n)))
-        c = classify(d, limit, riii_depth)
-        counts[c] = counts.get(c, 0) + 1
+        c = rec.verdict(tuple((k >> i) & 1 for i in range(q)), limit, riii_depth)
+        counts[c] = counts.get(c, 0) + weight
     return counts
 
 
 def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1,
            riii_depth: int = 0):
-    """Classify all 2^n assignments.  Deterministic for any thread count."""
+    """Classify all 2^n assignments.  Deterministic for any thread count.
+
+    Only the 2^q assignments of the curl quotient's q vertices are
+    classified, each standing for the 2^(n - q) diagrams that differ from
+    it at curls only.
+    """
     n = shadow.n
     if n > limit:
         raise LimitExceeded(f"census needs n <= {limit}, got {n}")
-    total = 1 << n
+    total = 1 << len(_shadow_record(shadow).keep)
     if threads == 0:
         threads = min(os.cpu_count() or 1, 8)
     threads = max(1, min(threads, total))

@@ -83,7 +83,7 @@ def test_split_decreases_m_by_two_and_keeps_marks():
             assert g.blue_edge != ov.blue_mark and g.red_edge != ov.red_mark
             child, lift = dg.split_digon(ov, g)
             assert child.m == ov.m - 2
-            assert {lift.u, lift.v} == {g.u, g.v}
+            assert set(lift.blue_over_bits) == {g.u, g.v}
             if child.m:
                 assert child.blue_mark is not None
                 assert child.red_mark is not None

@@ -44,7 +44,7 @@ def test_descending_all_unknot_and_bounded(corpus_shadow):
     s = corpus_shadow
     parts = gn.all_descending_diagrams(s)
     assert len(parts) <= max(4 * s.n, 1)
-    for d, _ in parts:
+    for d in parts:
         out, _ = iv.simplify(d)
         assert out.n == 0
 
@@ -209,6 +209,42 @@ def test_replay_rejects_flipped_bits(route, rejected, flips):
     # the odd route's base vertex is free: both its values are members
     assert len({v for v, _ in accepted}) <= 1
     assert all(bits in family for _, bits in accepted)
+
+
+def _replays(result, i):
+    try:
+        return gn.replay_certificate(result, i)
+    except InternalInvariantViolation:
+        return False
+
+
+@pytest.mark.parametrize("route", ("cycles", "digons-odd", "digons-even"))
+def test_replay_all_checks_every_output(route):
+    # replay_all shares certificate suffixes between outputs; one non-first
+    # output with one bit flipped must still decide it, exactly as the
+    # outputs replayed one by one do
+    if route == "cycles":
+        res = gn.generate_unknots(pm.random_shadow(9, 5), method="cycles")
+    elif route == "digons-odd":
+        res = gn.generate_unknots(pm.cn(9))
+    else:
+        res, _ = _even_digon_result()
+    assert res.method == route
+    assert gn.replay_all(res)
+    rejected = 0
+    for i in sorted({1, res.count // 2, res.count - 1}):
+        d = res.diagrams[i]
+        for v in range(d.n):
+            bits = list(d.bits)
+            bits[v] ^= 1
+            tampered = dataclasses.replace(
+                res, diagrams=res.diagrams[:i] + (iv.Diagram(d.shadow, tuple(bits)),)
+                + res.diagrams[i + 1:])
+            ok = gn.replay_all(tampered)
+            assert ok == _replays(tampered, i), (i, v)
+            assert ok == all(_replays(tampered, j) for j in range(res.count))
+            rejected += not ok
+    assert rejected >= 2 * d.n
 
 
 def test_generate_unknots_meets_bound(corpus_shadow):

@@ -1,6 +1,9 @@
 """Bracket, writhe, normalized polynomial, simplify, classify, census."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -343,3 +346,99 @@ def test_classify_mirror_swaps_census(corpus):
             swap = {"trefoil_left": "trefoil_right",
                     "trefoil_right": "trefoil_left"}
             assert b.kind == swap.get(a.kind, a.kind) or a.kind == "other", name
+
+
+# ---------------------------------------------------------------------------
+# per-shadow classification memo
+# ---------------------------------------------------------------------------
+
+def _has_curl(shadow):
+    return any(shadow.twin[d] >> 2 == d >> 2 for d in shadow.darts())
+
+
+def _curly_shadows():
+    """Random shadows of 3-12 crossings, most of them with curls."""
+    return [pm.random_shadow(n, seed) for n in range(3, 13) for seed in (n, 16)]
+
+
+def test_classify_matches_the_unreduced_polynomial(corpus):
+    # the memoized verdict, taken on the curl quotient, against the
+    # normalized polynomial of the whole diagram
+    by_kind = {cls.kind: f for f, cls in iv.reference_polynomials().items()}
+    by_kind["unknot"] = iv.ONE
+    shadows = [s for _, s in corpus if s.n] + _curly_shadows()
+    assert sum(map(_has_curl, shadows)) >= 20
+    rng = random.Random(29)
+    checked = 0
+    for s in shadows:
+        if s.n <= 8:
+            diagrams = list(iv.assignments(s))
+        else:
+            diagrams = [iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
+                        for _ in range(24)]
+        for d in diagrams:
+            cls = iv.classify(d)
+            want = cls.poly if cls.kind == "other" else by_kind[cls.kind]
+            assert iv.normalized_poly(d) == want, (s, d.bits, cls)
+            checked += 1
+    assert checked > 1500
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_census_matches_classify_over_all_assignments(threads):
+    f8 = pm.standard_figure8()
+    curled = pm.insert_curl(pm.insert_curl(f8, 3), 17, True)
+    shadows = [curled, pm.chorizo(6), pm.random_shadow(10, 16),
+               pm.random_shadow(12, 16)]
+    assert all(map(_has_curl, shadows))
+    for s in shadows:
+        brute = {}
+        for d in iv.assignments(s):
+            name = iv.classify(d).name
+            brute[name] = brute.get(name, 0) + 1
+        named = {}
+        for cls, k in iv.census(s, threads=threads).items():
+            named[cls.name] = named.get(cls.name, 0) + k
+        assert named == brute, s
+
+
+def _fresh_verdict(diagram, limit, riii_depth):
+    """The verdict of a new interpreter that classifies only this diagram."""
+    src = os.path.dirname(os.path.dirname(iv.__file__))
+    code = ("from unknotforge import invariants as iv, planemap as pm;"
+            f"d = iv.Diagram(pm.Shadow({diagram.n}, {diagram.shadow.twin!r}, "
+            f"{diagram.shadow.free_loops}, {diagram.shadow.outer_face}), "
+            f"{diagram.bits!r}); c = iv.classify(d, {limit}, {riii_depth});"
+            "print(c.name, c.presumed)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.strip()
+
+
+def test_memo_keys_give_fresh_verdicts():
+    # limit 12 leaves the alternating cn(13) unresolved, the default limit
+    # resolves it; every call must agree with a fresh interpreter, whatever
+    # ran before it on this shadow or on another
+    d = iv.alternating_diagram(pm.cn(13))
+    settings = ((12, 0), (iv.DEFAULT_LIMIT, 0), (iv.DEFAULT_LIMIT, 2), (12, 2))
+    fresh = {k: _fresh_verdict(d, *k) for k in settings}
+    assert fresh[(12, 0)].startswith("unresolved")
+    assert fresh[(iv.DEFAULT_LIMIT, 0)].startswith("other")
+    other = iv.Diagram(pm.cn(11), (0,) * 11)
+    order = [0, 1, 2, 0, 3, 1, None, 2, 0, None, 1, 3, 2, 0]
+    for i in order:
+        if i is None:
+            iv.classify(other)
+            continue
+        limit, depth = settings[i]
+        cls = iv.classify(d, limit, depth)
+        assert f"{cls.name} {cls.presumed}" == fresh[settings[i]], settings[i]
+
+
+def test_memos_stop_growing_at_the_cap():
+    s = pm.cn(13)
+    iv.census(s)
+    rec = iv._shadow_record(s)
+    assert len(rec.verdicts) == iv._MEMO_CAP < 1 << s.n
+    assert 0 < len(rec.residues) <= iv._MEMO_CAP
