@@ -19,14 +19,23 @@ from . import decomp as dc
 from . import generate as gn
 from . import invariants as iv
 from . import planemap as pm
-from .errors import InternalInvariantViolation, NoAvoidingDigon, ShadowError
+from .errors import (
+    CodecSyntaxError,
+    InternalInvariantViolation,
+    NoAvoidingDigon,
+    ShadowError,
+)
 
 USAGE_EXIT = 64
 
 
 def _read_input(path: str, fmt: str):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise CodecSyntaxError(
+                f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
     if fmt == "auto":
         fmt = cd.detect_format(text)
     return cd.parse(text, fmt)
@@ -36,10 +45,18 @@ def _shadow_of(obj):
     return obj.shadow if isinstance(obj, iv.Diagram) else obj
 
 
+class UsageError(Exception):
+    """A bad setting found after parsing; exits with USAGE_EXIT."""
+
+
 def _threads(args) -> int:
     env = os.environ.get("UNKNOT_FORGE_THREADS")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(
+                f"UNKNOT_FORGE_THREADS must be an integer, not {env!r}") from None
     return args.threads
 
 
@@ -271,10 +288,13 @@ def main(argv=None) -> int:
     except (InternalInvariantViolation, NoAvoidingDigon) as e:
         print(f"refuted guarantee: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    except UsageError as e:
+        print(f"usage: {e}", file=sys.stderr)
+        return USAGE_EXIT
     except ShadowError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except (FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -14,8 +14,10 @@ least orientation) so equal plane maps emit byte-identical text.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+from operator import getitem
 
 from . import invariants as iv
 from . import planemap as pm
@@ -93,6 +95,20 @@ def _component_walks(shadow: pm.Shadow):
     return walks
 
 
+def _candidate_walks(shadow: pm.Shadow, walk):
+    """The component walk rolled to start at each dart of its least vertex,
+    in both orientations."""
+    anchor = min(pm.vertex_of(d) for d in walk)
+    rev = tuple(shadow.twin[d] for d in reversed(walk))
+    out = []
+    for d0 in range(4 * anchor, 4 * anchor + 4):
+        for seq in (walk, rev):
+            if d0 in seq:
+                i = seq.index(d0)
+                out.append(tuple(seq[i:]) + tuple(seq[:i]))
+    return out
+
+
 def _gauss_tokens(shadow: pm.Shadow, walk, bits):
     """Token list for one component walk; None if a sign is undefined."""
     visits = {}
@@ -128,20 +144,8 @@ def _emit_gauss(obj, strip=False) -> str:
             "gauss codes cannot express vertex-less components; use rotmap")
     lines = []
     for walk in _component_walks(shadow):
-        anchor = min(pm.vertex_of(d) for d in walk)
-        cands = []
-        for d0 in range(4 * anchor, 4 * anchor + 4):
-            if d0 not in walk:
-                rev = tuple(shadow.twin[d] for d in reversed(walk))
-                seq = rev if d0 in rev else None
-            else:
-                seq = walk
-            if seq is None:
-                continue
-            i = seq.index(d0)
-            rolled = seq[i:] + seq[:i]
-            cands.append(" ".join(_gauss_tokens(shadow, rolled, bits)))
-        lines.append(min(cands))
+        lines.append(min(" ".join(_gauss_tokens(shadow, seq, bits))
+                         for seq in _candidate_walks(shadow, walk)))
     return "\n".join(sorted(lines)) + "\n"
 
 
@@ -230,57 +234,72 @@ def _parse_gauss(text: str):
 # pd
 # ---------------------------------------------------------------------------
 
-def _candidate_walks(shadow: pm.Shadow, walk):
-    """The component walk rolled to start at each dart of its least vertex,
-    in both orientations."""
-    anchor = min(pm.vertex_of(d) for d in walk)
-    rev = tuple(shadow.twin[d] for d in reversed(walk))
-    out = []
-    for d0 in range(4 * anchor, 4 * anchor + 4):
-        for seq in (walk, rev):
-            if d0 in seq:
-                i = seq.index(d0)
-                out.append(tuple(seq[i:]) + tuple(seq[:i]))
-    return out
+class _PdTables:
+    """The PD rows of every diagram on one shadow.
+
+    ``rows`` has one list per candidate walk combination, whose entry v is
+    crossing v's ``X[...]`` row for bit 0 and for bit 1; a diagram's text
+    under that combination joins the row its bit picks at every crossing.
+    ``holes`` holds the (vertex, bit) pairs that some combination leaves
+    without an incoming underpass.
+    """
+
+    __slots__ = ("shadow", "rows", "holes")
+
+    def __init__(self, shadow: pm.Shadow):
+        twin = shadow.twin
+        walks = _component_walks(shadow)
+        walks.sort(key=lambda w: min(pm.vertex_of(d) for d in w))
+        self.shadow = shadow
+        self.rows = []
+        self.holes = set()
+        for combo in itertools.product(*(_candidate_walks(shadow, w) for w in walks)):
+            label = [""] * (4 * shadow.n)
+            in_darts = [False] * (4 * shadow.n)
+            nxt = 1
+            for seq in combo:
+                for k, ex in enumerate(seq):
+                    label[ex] = label[twin[ex]] = str(nxt)
+                    nxt += 1
+                    in_darts[twin[seq[k - 1]]] = True
+            rows = []
+            for v in range(shadow.n):
+                around = label[4 * v:4 * v + 4]
+                pair = []
+                for bit in (0, 1):
+                    # the incoming under-strand dart has the other parity
+                    under_in = None
+                    for s in range(4):
+                        if in_darts[4 * v + s] and (s & 1) != bit:
+                            under_in = s
+                    if under_in is None:
+                        self.holes.add((v, bit))
+                        pair.append(None)
+                    else:
+                        pair.append("X[" + ",".join(
+                            around[under_in:] + around[:under_in]) + "]")
+                rows.append(tuple(pair))
+            self.rows.append(rows)
+
+
+# the tables of the last shadow emitted; another shadow replaces them
+_pd_tables = None
 
 
 def _emit_pd(diagram: iv.Diagram) -> str:
-    import itertools
-
+    global _pd_tables
     shadow = diagram.shadow
     if shadow.n == 0 or shadow.free_loops:
         raise UnsupportedConversion(
             "pd codes cannot express vertex-less components; use rotmap")
-    walks = _component_walks(shadow)
-    walks.sort(key=lambda w: min(pm.vertex_of(d) for d in w))
-    best = None
-    for combo in itertools.product(*(_candidate_walks(shadow, w) for w in walks)):
-        label_of_edge = {}
-        nxt = 1
-        in_darts = [False] * (4 * shadow.n)
-        for seq in combo:
-            for k, ex in enumerate(seq):
-                label_of_edge[shadow.edge_id(ex)] = nxt
-                nxt += 1
-                in_darts[shadow.twin[seq[k - 1]]] = True
-        rows = []
-        for v in range(shadow.n):
-            under_in = None
-            for s in range(4):
-                d = 4 * v + s
-                if in_darts[d] and (d & 1) != diagram.bits[v]:
-                    under_in = d
-            if under_in is None:
-                raise UnsupportedConversion("a crossing has no incoming underpass")
-            entries = []
-            for off in range(4):
-                d = 4 * v + ((pm.slot_of(under_in) + off) & 3)
-                entries.append(label_of_edge[shadow.edge_id(d)])
-            rows.append("X[" + ",".join(map(str, entries)) + "]")
-        text = " ".join(rows) + "\n"
-        if best is None or text < best:
-            best = text
-    return best
+    if _pd_tables is None or (_pd_tables.shadow is not shadow
+                              and _pd_tables.shadow != shadow):
+        _pd_tables = _PdTables(shadow)
+    bits = diagram.bits
+    if any(bits[v] == bit for v, bit in _pd_tables.holes):
+        raise UnsupportedConversion("a crossing has no incoming underpass")
+    return min(" ".join(map(getitem, rows, bits)) + "\n"
+               for rows in _pd_tables.rows)
 
 
 _PD_ROW = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]")

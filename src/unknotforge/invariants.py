@@ -11,6 +11,7 @@ greedy move-based simplifier, to classify diagrams at desk scale.
 
 from __future__ import annotations
 
+import heapq
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -492,28 +493,36 @@ def simplify(diagram: Diagram, riii_depth: int = 0):
     the greedy moves stall.
     """
     state = _Mut(diagram)
+    alive = state.alive
     moves = []
-    work = set(range(diagram.n))
+    # a min-heap of the queued vertices, each at most once
+    work = list(range(diagram.n))
+    queued = [True] * diagram.n
     while True:
         progress = False
         while work:
-            v = min(work)
-            work.discard(v)
-            if not state.alive[v]:
+            v = heapq.heappop(work)
+            queued[v] = False
+            if not alive[v]:
                 continue
             hit = _try_r1(state, v) or _try_r2(state, v)
             if hit:
                 move, neighbours = hit
                 moves.append(move)
-                work.update(u for u in neighbours if state.alive[u])
+                for u in neighbours:
+                    if alive[u] and not queued[u]:
+                        queued[u] = True
+                        heapq.heappush(work, u)
                 progress = True
-        for v in range(len(state.alive)):
-            if state.alive[v]:
+        for v in range(len(alive)):
+            if alive[v]:
                 hit = _try_type_a(state, v)
                 if hit:
                     move, _ = hit
                     moves.append(move)
-                    work.update(u for u in range(len(state.alive)) if state.alive[u])
+                    work = [u for u in range(len(alive)) if alive[u]]
+                    for u in work:
+                        queued[u] = True
                     progress = True
                     break
         if not progress:

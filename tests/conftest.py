@@ -26,6 +26,16 @@ def builder_corpus():
 CORPUS = builder_corpus()
 
 
+def doubled_ring_link(n):
+    """The doubled ring with an even number of crossings: two components."""
+    pairs = []
+    for i in range(n):
+        j = (i + 1) % n
+        pairs.append((pm.dart_at(i, 0), pm.dart_at(j, 1)))
+        pairs.append((pm.dart_at(i, 3), pm.dart_at(j, 2)))
+    return pm.build_shadow(pairs)
+
+
 @pytest.fixture(params=CORPUS, ids=[name for name, _ in CORPUS])
 def corpus_shadow(request):
     return request.param[1]

@@ -204,6 +204,27 @@ def test_missing_file(run):
     assert code == 1
 
 
+def test_directory_input_exit_code(run, tmp_path):
+    code, out, err = run("census", str(tmp_path))
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+
+
+def test_non_utf8_input_exit_code(run, tmp_path):
+    p = tmp_path / "latin1.rot"
+    p.write_bytes(b"shadow v=0 loops=1 outer=0 \xe9\n")
+    code, out, err = run("census", str(p))
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+
+
+def test_non_integer_thread_setting_is_a_usage_error(run, fig8_file, monkeypatch):
+    monkeypatch.setenv("UNKNOT_FORGE_THREADS", "two")
+    code, out, err = run("census", fig8_file)
+    assert code == 64
+    assert out == "" and "UNKNOT_FORGE_THREADS" in err
+
+
 def test_usage_error_exit(run):
     code, _, _ = run("frobnicate")
     assert code == 64

@@ -1,10 +1,14 @@
 """Text formats: round trips, canonical emission, reports, error paths."""
 
 import json
+import pathlib
+import random
 
 import pytest
 
+from conftest import CORPUS, doubled_ring_link
 from unknotforge import codec as cd
+from unknotforge import generate as gn
 from unknotforge import invariants as iv
 from unknotforge import planemap as pm
 from unknotforge.errors import (
@@ -149,3 +153,79 @@ def test_census_report_json_schema():
     assert payload["unknot_count"] == 16
     assert payload["census"] == {"unknot": 16}
     assert payload["runtime_ms"] == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned PD and Gauss text
+# ---------------------------------------------------------------------------
+
+PINS_PATH = pathlib.Path(__file__).parent / "data" / "codec_pins.json"
+
+
+def pin_cases():
+    """Named diagrams whose PD and Gauss text is pinned; consecutive cases
+    often share a shadow."""
+    out = []
+    for name, s in CORPUS:
+        if s.n:
+            out.append((f"{name}/alternating", iv.alternating_diagram(s)))
+            out.append((f"{name}/zeros", iv.Diagram(s, (0,) * s.n)))
+    for n in range(3, 14):
+        s = pm.random_shadow(n, n)
+        rng = random.Random(n)
+        for k in range(3):
+            bits = tuple(rng.randrange(2) for _ in range(n))
+            out.append((f"random_shadow({n}, {n})/{k}", iv.Diagram(s, bits)))
+    for n in (2, 6):
+        s = doubled_ring_link(n)
+        rng = random.Random(n)
+        out.append((f"ring_link{n}/zeros", iv.Diagram(s, (0,) * n)))
+        for k in range(2):
+            bits = tuple(rng.randrange(2) for _ in range(n))
+            out.append((f"ring_link{n}/{k}", iv.Diagram(s, bits)))
+    # cn(9) takes the odd digon route by default; the two random shadows
+    # take the odd and the even digon route when it is forced
+    for name, s, method in (("cn9", pm.cn(9), "auto"),
+                            ("random_shadow(16, 19)", pm.random_shadow(16, 19), "digons"),
+                            ("random_shadow(17, 5)", pm.random_shadow(17, 5), "digons")):
+        res = gn.generate_unknots(s, method=method)
+        assert res.method.startswith("digons")
+        for i, d in enumerate(res.diagrams):
+            out.append((f"{name}/{res.method}/{i}", d))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return dict(pin_cases())
+
+
+@pytest.fixture(scope="module")
+def pins():
+    # {name: {"pd": emit(d, "pd"), "gauss": emit(d, "gauss")}}, captured
+    # from the per-call PD emitter that the per-shadow tables replaced
+    return json.loads(PINS_PATH.read_text())
+
+
+def test_emission_matches_pins(cases, pins):
+    assert list(pins) == list(cases)
+    for name, d in cases.items():
+        assert cd.emit(d, "pd") == pins[name]["pd"], name
+        assert cd.emit(d, "gauss") == pins[name]["gauss"], name
+
+
+def test_pd_tables_are_kept_for_the_last_shadow(cases, pins):
+    a, b = "cn3", "figure8"
+    for name in (f"{a}/alternating", f"{b}/alternating", f"{a}/zeros",
+                 f"{b}/zeros"):
+        assert cd.emit(cases[name], "pd") == pins[name]["pd"], name
+    # an equal shadow that is another object reuses the last tables
+    tables = cd._pd_tables
+    s = cases[f"{b}/zeros"].shadow
+    copy = pm.Shadow(s.n, tuple(list(s.twin)), s.free_loops, s.outer_face)
+    assert copy == s and copy is not s
+    assert cd.emit(iv.alternating_diagram(copy), "pd") == pins[f"{b}/alternating"]["pd"]
+    assert cd._pd_tables is tables
+    # a link between two knots
+    for name in ("ring_link6/0", "ring_link6/zeros", f"{a}/zeros"):
+        assert cd.emit(cases[name], "pd") == pins[name]["pd"], name

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from conftest import doubled_ring_link
 from unknotforge import invariants as iv
 from unknotforge import planemap as pm
 from unknotforge.errors import LimitExceeded, PreconditionViolated
@@ -71,22 +72,12 @@ def test_one_vertex_brackets():
     assert iv.kauffman_bracket(iv.Diagram(s, (1,))) == A(-3, -1)
 
 
-def _doubled_ring_link(n):
-    """The doubled ring with an even number of crossings: two components."""
-    pairs = []
-    for i in range(n):
-        j = (i + 1) % n
-        pairs.append((pm.dart_at(i, 0), pm.dart_at(j, 1)))
-        pairs.append((pm.dart_at(i, 3), pm.dart_at(j, 2)))
-    return pm.build_shadow(pairs)
-
-
 def test_bracket_matches_oracle_on_corpus(corpus):
     rng = random.Random(5)
     shadows = list(corpus)
     shadows += [(f"random_shadow({n}, {n})", pm.random_shadow(n, n))
                 for n in range(3, 13)]
-    shadows += [(f"ring_link{n}", _doubled_ring_link(n)) for n in (2, 6)]
+    shadows += [(f"ring_link{n}", doubled_ring_link(n)) for n in (2, 6)]
     figure8 = pm.standard_figure8()
     shadows += [("figure8+2 free", pm.Shadow(figure8.n, figure8.twin, 2)),
                 ("2 free", pm.Shadow(0, (), 2))]
