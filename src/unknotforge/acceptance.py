@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import time
 
+from . import codec as cd
 from . import decomp as dc
 from . import digon as dg
 from . import generate as gn
@@ -44,18 +45,11 @@ def random_corpus(count=50, max_n=16, seed=7):
     return out
 
 
-def _counts_by_name(census):
-    out = {}
-    for cls, c in census.items():
-        out[cls.name] = out.get(cls.name, 0) + c
-    return out
-
-
 def check_1_figure8_census(fast=False, seed=7):
     t0 = time.monotonic()
     census = iv.census(pm.standard_figure8())
     dt = time.monotonic() - t0
-    named = _counts_by_name(census)
+    named = cd.census_to_names(census)
     ok = (sum(named.values()) == 16 and named.get("unknot") == 12 and dt < 1.0)
     return ("figure-eight census 12/16 under 1s", ok,
             f"counts={named}, runtime={dt:.3f}s")
@@ -66,7 +60,7 @@ def check_2_chorizo_all_unknot(fast=False, seed=7):
     ok = True
     ks = (1, 2, 3, 4) if fast else (1, 2, 3, 4, 5, 6, 7, 8)
     for k in ks:
-        named = _counts_by_name(iv.census(pm.chorizo(k)))
+        named = cd.census_to_names(iv.census(pm.chorizo(k)))
         good = named == {"unknot": 1 << k}
         ok = ok and good
         details.append(f"k={k}:{'ok' if good else named}")
@@ -80,7 +74,7 @@ def check_2_chorizo_all_unknot(fast=False, seed=7):
 
 
 def check_3_c3_census(fast=False, seed=7):
-    named = _counts_by_name(iv.census(pm.cn(3)))
+    named = cd.census_to_names(iv.census(pm.cn(3)))
     ok = named == {"unknot": 6, "trefoil_left": 1, "trefoil_right": 1}
     return ("C3 census exactly {unknot:6, trefoils:1+1}", ok, f"counts={named}")
 
@@ -170,7 +164,7 @@ def check_7_trefoil_characterization(fast=False, seed=7):
     for name, shadow in corpus:
         if shadow.n == 0:
             continue
-        all_unknot = _counts_by_name(iv.census(shadow)) == {"unknot": 1 << shadow.n}
+        all_unknot = cd.census_to_names(iv.census(shadow)) == {"unknot": 1 << shadow.n}
         all_cut = pm.all_cut_vertices(shadow)
         tre = gn.trefoil_diagram(shadow)
         if not (all_unknot == all_cut == (tre is None)):

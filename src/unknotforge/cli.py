@@ -51,13 +51,17 @@ class UsageError(Exception):
 
 def _threads(args) -> int:
     env = os.environ.get("UNKNOT_FORGE_THREADS")
-    if env is not None:
+    if env is None:
+        threads = args.threads
+    else:
         try:
-            return int(env)
+            threads = int(env)
         except ValueError:
             raise UsageError(
                 f"UNKNOT_FORGE_THREADS must be an integer, not {env!r}") from None
-    return args.threads
+    if threads < 0:
+        raise UsageError(f"the thread count must be 0 (auto) or more, not {threads}")
+    return threads
 
 
 def _print_census(shadow, census, args, generated=None, method=None, runtime_ms=0):
@@ -134,14 +138,12 @@ def cmd_classify(args):
     shadow = _shadow_of(obj)
     if args.bits is not None:
         if len(args.bits) != shadow.n or set(args.bits) - {"0", "1"}:
-            print(f"usage: --bits needs {shadow.n} characters of 0/1")
-            return USAGE_EXIT
+            raise UsageError(f"--bits needs {shadow.n} characters of 0/1")
         diagram = iv.Diagram(shadow, tuple(int(b) for b in args.bits))
     elif isinstance(obj, iv.Diagram):
         diagram = obj
     else:
-        print("usage: input is a shadow; supply --bits")
-        return USAGE_EXIT
+        raise UsageError("input is a shadow; supply --bits")
     cls = iv.classify(diagram, limit=args.oracle_limit)
     print(cls.name + (" (presumed)" if cls.presumed else ""))
     return 0

@@ -117,7 +117,6 @@ class QuotientStep:
     cycle: StraightAheadCycle
     child: pm.Shadow
     child_to_parent: tuple
-    parent_to_child: dict
     c_slots: dict               # removed parent vertex -> its two cycle darts
     edge_paths: dict            # child edge id -> parent dart path
     loop_paths: tuple
@@ -150,7 +149,6 @@ def quotient(shadow: pm.Shadow, cyc: StraightAheadCycle) -> QuotientStep:
         cycle=cyc,
         child=ex.child,
         child_to_parent=ex.old_vertex,
-        parent_to_child=ex.new_vertex,
         c_slots=c_slots,
         edge_paths=ex.edge_paths,
         loop_paths=ex.loop_paths,

@@ -59,9 +59,6 @@ class MarkedOverlay:
         """Number of shared (blue-red) vertices."""
         return sum(1 for v in range(self.shadow.n) if self.is_shared(v))
 
-    def edge_color(self, edge_id: int) -> str:
-        return self.colors[edge_id]
-
     def blue_edges(self):
         return [e for e in self.shadow.edges() if self.colors[e] == BLUE]
 
@@ -167,20 +164,16 @@ def build_overlay(shadow: pm.Shadow, blue: StraightAheadCycle,
     # even form: drop gray edges, suppress what remains of degree 2
     gray = all_edges - colored
     through = {}
-    dead_extra = set()
-    root_edge_marker = {}
     for v in range(shadow.n):
         cds = [pm.dart_at(v, s) for s in range(4) if colors[pm.dart_at(v, s)]]
-        if len(cds) == 4:
+        if len(cds) in (0, 4):
             continue
-        if len(cds) == 0:
-            dead_extra.add(v)
-        elif len(cds) == 2:
+        if len(cds) == 2:
             through[cds[0]] = cds[1]
             through[cds[1]] = cds[0]
         else:
             raise MalformedRoots(f"vertex {v} has {len(cds)} coloured darts")
-    ex = pm.excise(shadow, through, frozenset(gray), frozenset(dead_extra))
+    ex = pm.excise(shadow, through, frozenset(gray))
     child = ex.child
     child_colors = [None] * (4 * child.n)
     blue_mark = red_mark = None
@@ -324,7 +317,8 @@ def split_digon(overlay: MarkedOverlay, g: Digon):
         parent = tuple(overlay.parent_vertex[pv] for pv in ex.old_vertex)
     child_ov = MarkedOverlay(
         child, overlay.kind, child_colors,
-        root=(ex.new_vertex.get(overlay.root) if overlay.root is not None else None),
+        root=(ex.old_vertex.index(overlay.root) if overlay.root in ex.old_vertex
+              else None),
         blue_mark=new_blue_mark, red_mark=new_red_mark,
         parent_vertex=parent,
     )

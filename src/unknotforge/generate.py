@@ -311,24 +311,21 @@ def _even_extension(t_shadow, pair, overlay) -> Restrict:
         colored_darts.add(t_shadow.twin[e])
     want = {}
     through = {}
-    dead_extra = set()
     for v in range(t_shadow.n):
         darts = [pm.dart_at(v, s) for s in range(4)]
         cds = [d for d in darts if d in colored_darts]
-        if len(cds) == 4:
-            dead_extra.add(v)
-        elif len(cds) == 2:
+        if len(cds) == 2:
             if (cds[0] ^ cds[1]) & 3 == 2:
                 # one colored pass crossing gray: colour goes on top
                 want[v] = cds[0] & 1
             rest = [d for d in darts if d not in cds]
             through[rest[0]] = rest[1]
             through[rest[1]] = rest[0]
-        elif cds:
+        elif len(cds) % 2:
             raise InternalInvariantViolation("odd colour degree at a vertex")
     for root in (pair.blue.root, pair.red.root):
         want[root] = 0
-    ex = pm.excise(t_shadow, through, frozenset(colored), frozenset(dead_extra))
+    ex = pm.excise(t_shadow, through, frozenset(colored))
     gray = descending_diagram(ex.child)
     if not _simplifies_to_trivial(gray):
         raise InternalInvariantViolation("gray residual does not simplify")

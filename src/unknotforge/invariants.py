@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import planemap as pm
-from .errors import InternalInvariantViolation, LimitExceeded, PreconditionViolated
+from .errors import (
+    InternalInvariantViolation,
+    LimitExceeded,
+    NonPlanar,
+    NotInvolution,
+    PreconditionViolated,
+)
 
 DEFAULT_LIMIT = 20
 
@@ -38,10 +44,6 @@ class LaurentPoly:
         else:
             items = terms
         self.terms = tuple(sorted((e, c) for e, c in items if c))
-
-    @classmethod
-    def monomial(cls, exponent=0, coeff=1):
-        return cls({exponent: coeff})
 
     def __bool__(self):
         return bool(self.terms)
@@ -281,14 +283,13 @@ def normalized_poly(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPoly
 class _Mut:
     """Mutable diagram state for in-place move application."""
 
-    __slots__ = ("twin", "bits", "alive", "free_loops", "n_alive")
+    __slots__ = ("twin", "bits", "alive", "free_loops")
 
     def __init__(self, diagram: Diagram):
         self.twin = list(diagram.shadow.twin)
         self.bits = list(diagram.bits)
         self.alive = [True] * diagram.n
         self.free_loops = diagram.shadow.free_loops
-        self.n_alive = diagram.n
 
     def sigma(self, d):
         return self.twin[d] ^ 2
@@ -296,71 +297,19 @@ class _Mut:
     def over_dart(self, d):
         return (d & 1) == self.bits[d >> 2]
 
-    def excise(self, through, deleted_edge_darts):
-        """Remove the vertices named in ``through``; resplice strands.
-
-        ``through`` maps each dart of a dying vertex to the dart its strand
-        continues on there; darts of deleted edges are excluded from routing.
-        New closed curves on dead vertices become free loops.
-        """
-        twin = self.twin
-        dead_v = {d >> 2 for d in through}
-        deleted = set()
-        for d in deleted_edge_darts:
-            deleted.add(d)
-            deleted.add(twin[d])
-        entries = []
-        for v in sorted(dead_v):
-            for s in range(4):
-                d = 4 * v + s
-                if d in deleted:
-                    continue
-                q = twin[d]
-                if (q >> 2) not in dead_v:
-                    entries.append(q)
-        touched = set()
-        walked = set()
-        for q in entries:
-            if q in touched:
-                continue
-            y = twin[q]
-            while (y >> 2) in dead_v:
-                walked.add(y)
-                y = through[y]
-                walked.add(y)
-                y = twin[y]
-            twin[q] = y
-            twin[y] = q
-            touched.add(y)
-            touched.add(q)
-        # dead closed curves -> free loops
-        for d0 in sorted(through):
-            if d0 in deleted or d0 in walked:
-                continue
-            d = d0
-            while d not in walked:
-                walked.add(d)
-                q = twin[d]
-                walked.add(q)
-                d = through[q]
-            self.free_loops += 1
-        for v in dead_v:
-            for s in range(4):
-                twin[4 * v + s] = -1
+    def excise(self, through, deleted=()):
+        """Remove the vertices named in ``through`` by ``planemap.splice``;
+        new closed curves on them become free loops."""
+        _, loops = pm.splice(self.twin, through, deleted)
+        self.free_loops += len(loops)
+        for v in {d >> 2 for d in through}:
             self.alive[v] = False
             self.bits[v] = None
-        self.n_alive -= len(dead_v)
 
     def to_diagram(self):
-        order = [v for v in range(len(self.alive)) if self.alive[v]]
-        remap = {v: i for i, v in enumerate(order)}
-        twin = [0] * (4 * len(order))
-        for v in order:
-            for s in range(4):
-                t = self.twin[4 * v + s]
-                twin[4 * remap[v] + s] = 4 * remap[t >> 2] + (t & 3)
-        shadow = pm.Shadow(len(order), tuple(twin), self.free_loops, 0)
-        return Diagram(shadow, tuple(self.bits[v] for v in order)), tuple(order)
+        twin, order = pm.renumber(self.twin)
+        shadow = pm.Shadow(len(order), twin, self.free_loops, 0)
+        return Diagram(shadow, tuple(self.bits[v] for v in order)), order
 
 
 def _straight_through_mut(vertices):
@@ -391,7 +340,6 @@ def _try_r1(state: _Mut, v):
                 twin[base + r] = -1
             state.alive[v] = False
             state.bits[v] = None
-            state.n_alive -= 1
             return ("r1", v), neighbours
     return None
 
@@ -431,9 +379,8 @@ def _try_r2(state: _Mut, v):
                     twin[4 * z + r] = -1
                 state.alive[z] = False
                 state.bits[z] = None
-            state.n_alive -= 2
         else:
-            state.excise(_straight_through_mut((v, w)), deleted_edge_darts=())
+            state.excise(_straight_through_mut((v, w)))
         return ("r2", v, w), neighbours
     return None
 
@@ -478,7 +425,7 @@ def _try_type_a(state: _Mut, v):
         through[walk[0]] = in_dart
         through[in_dart] = walk[0]
         neighbours = set()
-        state.excise(through, deleted_edge_darts=tuple(walk))
+        state.excise(through, walk)
         return ("ta", v, side, tuple(interior)), neighbours
     return None
 
@@ -589,7 +536,7 @@ def _riii_apply(diagram: Diagram, dx, dy, dz):
     cand = pm.Shadow(shadow.n, tuple(twin), shadow.free_loops, 0)
     try:
         pm.validate_shadow(cand)
-    except Exception:
+    except (NotInvolution, NonPlanar):
         return None
     if cand.curve_count() != shadow.curve_count():
         return None
@@ -831,6 +778,8 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1,
     n = shadow.n
     if n > limit:
         raise LimitExceeded(f"census needs n <= {limit}, got {n}")
+    if threads < 0:
+        raise PreconditionViolated(f"census needs threads >= 0, got {threads}")
     total = 1 << len(_shadow_record(shadow).keep)
     if threads == 0:
         threads = min(os.cpu_count() or 1, 8)

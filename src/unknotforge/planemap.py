@@ -111,7 +111,6 @@ class ComponentReport:
     kind: str                 # "trivial" | "knot" | "link" | "disconnected" | "empty"
     curve_count: int
     free_loops: int
-    graph_connected: bool
 
     @property
     def is_knot_shadow(self) -> bool:
@@ -185,9 +184,6 @@ class FaceMap:
     face_of: tuple           # dart -> face id
     face_darts: tuple        # face id -> dart tuple
     depth_of: tuple          # face id -> BFS distance from the outer face
-
-    def face_count(self) -> int:
-        return len(self.face_darts)
 
 
 def face_of_dart(shadow: Shadow, dart: int) -> int:
@@ -263,7 +259,7 @@ def component_report(shadow: Shadow) -> ComponentReport:
         kind = "knot"
     else:
         kind = "link"
-    return ComponentReport(kind, total_curves, shadow.free_loops, connected)
+    return ComponentReport(kind, total_curves, shadow.free_loops)
 
 
 def validate_shadow(shadow: Shadow) -> ComponentReport:
@@ -486,8 +482,95 @@ def plane_map_equal(a: Shadow, b: Shadow, bits_a=None, bits_b=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Surgery: excise vertices / delete edges and resplice the curves
+# Surgery: remove vertices and edges, then rejoin the strands
 # ---------------------------------------------------------------------------
+
+def splice(twin, through, deleted=()):
+    """Remove vertices and edges from a mutable twin list and rejoin strands.
+
+    ``deleted`` names a dart of each edge to delete.  The removed vertices
+    are those of the darts in ``through`` and the ends of the deleted
+    edges; ``through`` maps each of their darts not on a deleted edge to
+    the dart its strand continues on at that vertex (an involution per
+    vertex).  Every strand that ran through removed vertices is joined up
+    and the darts of removed vertices are set to -1.
+
+    Returns ``(paths, loops)``.  ``paths`` maps each surviving dart whose
+    twin changed to the parent darts its strand now runs along, from that
+    dart to its new twin.  ``loops`` lists the parent dart paths of the
+    closed curves that ran through removed vertices only, each from its
+    least dart.
+    """
+    gone = set()
+    for d in deleted:
+        gone.add(d)
+        gone.add(twin[d])
+    dead = {d >> 2 for d in through} | {d >> 2 for d in gone}
+    exits = []          # routed darts whose edge leads to a surviving vertex
+    for v in dead:
+        for d in range(4 * v, 4 * v + 4):
+            if d in gone:
+                continue
+            if d not in through:
+                raise PreconditionViolated(
+                    f"dart {d} of a removed vertex is neither routed nor deleted")
+            if twin[d] >> 2 not in dead:
+                exits.append(d)
+    paths = {}
+    seen = set()
+    for y in exits:
+        q = twin[y]
+        if q in paths:
+            continue
+        path = [q]
+        while y >> 2 in dead:
+            path.append(y)
+            y = through[y]
+            if y in gone:
+                raise PreconditionViolated("through map routed onto a deleted edge")
+            path.append(y)
+            y = twin[y]
+        path.append(y)
+        seen.update(path)
+        twin[q] = y
+        twin[y] = q
+        path = tuple(path)
+        paths[q] = path
+        paths[y] = path[::-1]
+    loops = []
+    for d0 in sorted(through):
+        if d0 in gone or d0 in seen:
+            continue
+        path = []
+        d = d0
+        while d not in seen:
+            seen.add(d)
+            path.append(d)
+            q = twin[d]
+            seen.add(q)
+            path.append(q)
+            d = through[q]
+            if d in gone:
+                raise PreconditionViolated("through map routed onto a deleted edge")
+        loops.append(tuple(path))
+    for v in dead:
+        twin[4 * v:4 * v + 4] = (-1, -1, -1, -1)
+    return paths, loops
+
+
+def renumber(twin):
+    """Drop the vertices whose darts are -1 and number the rest in order.
+
+    Returns the compact twin tuple and the old vertex of each new vertex.
+    """
+    keep = tuple(v for v in range(len(twin) // 4) if twin[4 * v] >= 0)
+    new = {v: i for i, v in enumerate(keep)}
+    out = []
+    for v in keep:
+        for t in twin[4 * v:4 * v + 4]:
+            out.append(4 * new[t >> 2] + (t & 3))
+    return tuple(out), keep
+
 
 @dataclass(frozen=True)
 class Excision:
@@ -501,81 +584,31 @@ class Excision:
 
     child: Shadow
     old_vertex: tuple          # child vertex -> parent vertex
-    new_vertex: dict           # parent vertex -> child vertex
     edge_paths: dict           # child edge id -> tuple of parent darts
     loop_paths: tuple
 
 
-def excise(shadow: Shadow, through: dict, deleted_edges=frozenset(),
-           dead_extra=frozenset()) -> Excision:
-    """Remove the vertices listed in ``through`` and the ``deleted_edges``.
+def excise(shadow: Shadow, through: dict, deleted_edges=frozenset()) -> Excision:
+    """Remove the vertices of ``through`` and the ``deleted_edges``.
 
-    ``through`` maps each dart of a removed vertex whose edge survives to the
-    dart the strand continues on at that vertex (an involution per vertex).
-    ``dead_extra`` names removed vertices all of whose edges are deleted.
-    Deleted edges may only join removed vertices.  Strands are respliced;
-    removed components that close up become free loops.
+    ``splice`` on a copy of the twin table, renumbered; see ``splice`` for
+    the meaning of the arguments.  Removed components that close up become
+    free loops.
     """
-    twin = shadow.twin
-    dead = {vertex_of(d) for d in through} | set(dead_extra)
-    for e in deleted_edges:
-        if vertex_of(e) not in dead or vertex_of(twin[e]) not in dead:
-            raise PreconditionViolated("deleted edge touches a surviving vertex")
-    alive = [v for v in range(shadow.n) if v not in dead]
-    new_vertex = {v: i for i, v in enumerate(alive)}
-
-    def deleted(d):
-        return edge_of(d, twin) in deleted_edges
-
-    new_twin = [0] * (4 * len(alive))
-    edge_paths = {}
-    for v in alive:
-        for s in range(4):
-            p = dart_at(v, s)
-            if deleted(p):
-                raise PreconditionViolated("surviving vertex on a deleted edge")
-            path = [p]
-            q = twin[p]
-            while vertex_of(q) in dead:
-                path.append(q)
-                q = through[q]
-                path.append(q)
-                if deleted(q):
-                    raise PreconditionViolated("through map routed onto a deleted edge")
-                q = twin[q]
-            path.append(q)
-            np = dart_at(new_vertex[v], s)
-            nq = dart_at(new_vertex[vertex_of(q)], slot_of(q))
-            new_twin[np] = nq
-            if np <= nq:
-                edge_paths[np] = tuple(path)
-
-    # Closed curves living entirely on removed vertices become free loops.
-    walked = {d for path in edge_paths.values() for d in path}
-    loop_paths = []
-    seen = set()
-    for d0 in sorted(through):
-        if d0 in walked or d0 in seen or deleted(d0):
-            continue
-        path = []
-        d = d0
-        while d not in seen:
-            seen.add(d)
-            path.append(d)
-            q = twin[d]
-            seen.add(q)
-            path.append(q)
-            d = through[q]
-        loop_paths.append(tuple(path))
-
-    child = Shadow(
-        len(alive),
-        tuple(new_twin),
-        shadow.free_loops + len(loop_paths),
-        0,
-    )
+    twin = list(shadow.twin)
+    paths, loops = splice(twin, through, deleted_edges)
+    child_twin, old_vertex = renumber(twin)
+    child = Shadow(len(old_vertex), child_twin,
+                   shadow.free_loops + len(loops), 0)
     validate_shadow(child)
-    return Excision(child, tuple(alive), new_vertex, edge_paths, tuple(loop_paths))
+    edge_paths = {}
+    for i, v in enumerate(old_vertex):
+        for s in range(4):
+            nd = 4 * i + s
+            if nd < child_twin[nd]:
+                p = 4 * v + s
+                edge_paths[nd] = paths.get(p) or (p, twin[p])
+    return Excision(child, old_vertex, edge_paths, tuple(loops))
 
 
 # ---------------------------------------------------------------------------

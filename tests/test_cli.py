@@ -137,8 +137,12 @@ def test_limits_default_to_the_library_limit(run, tmp_path):
 
 
 def test_classify_usage_error(run, fig8_file):
-    code, out, _ = run("classify", fig8_file, "--bits", "01")
+    code, out, err = run("classify", fig8_file, "--bits", "01")
     assert code == 64
+    assert out == "" and err == "usage: --bits needs 4 characters of 0/1\n"
+    code, out, err = run("classify", fig8_file)
+    assert code == 64
+    assert out == "" and err == "usage: input is a shadow; supply --bits\n"
 
 
 def test_trefoil_on_chorizo_and_cn3(run, tmp_path):
@@ -223,6 +227,16 @@ def test_non_integer_thread_setting_is_a_usage_error(run, fig8_file, monkeypatch
     code, out, err = run("census", fig8_file)
     assert code == 64
     assert out == "" and "UNKNOT_FORGE_THREADS" in err
+
+
+def test_negative_thread_setting_is_a_usage_error(run, fig8_file, monkeypatch):
+    code, out, err = run("--threads", "-3", "census", fig8_file)
+    assert code == 64
+    assert out == "" and err.startswith("usage: ")
+    monkeypatch.setenv("UNKNOT_FORGE_THREADS", "-1")
+    code, out, err = run("--threads", "2", "census", fig8_file)
+    assert code == 64
+    assert out == "" and err.startswith("usage: ")
 
 
 def test_usage_error_exit(run):

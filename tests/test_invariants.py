@@ -1,13 +1,15 @@
 """Bracket, writhe, normalized polynomial, simplify, classify, census."""
 
+import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import doubled_ring_link
+from conftest import CORPUS, doubled_ring_link
 from unknotforge import invariants as iv
 from unknotforge import planemap as pm
 from unknotforge.errors import LimitExceeded, PreconditionViolated
@@ -58,7 +60,6 @@ def oracle_bracket(diagram):
     return LaurentPoly(acc)
 
 
-A = LaurentPoly.monomial
 BIG = 41            # a bracket limit that admits every large-n diagram here
 
 
@@ -68,8 +69,8 @@ def test_trivial_bracket_is_one():
 
 def test_one_vertex_brackets():
     s = pm.one_vertex()
-    assert iv.kauffman_bracket(iv.Diagram(s, (0,))) == A(3, -1)
-    assert iv.kauffman_bracket(iv.Diagram(s, (1,))) == A(-3, -1)
+    assert iv.kauffman_bracket(iv.Diagram(s, (0,))) == LaurentPoly({3: -1})
+    assert iv.kauffman_bracket(iv.Diagram(s, (1,))) == LaurentPoly({-3: -1})
 
 
 def test_bracket_matches_oracle_on_corpus(corpus):
@@ -229,6 +230,78 @@ def test_simplify_never_increases_crossings_and_preserves_class(corpus):
             assert iv.normalized_poly(out) == iv.normalized_poly(d), name
 
 
+SIMPLIFY_PINS_PATH = pathlib.Path(__file__).parent / "data" / "simplify_pins.json"
+
+
+def simplify_pin_cases():
+    """Named (diagram, riii_depth) cases whose simplification is pinned.
+
+    Connected sums of small knots stall the curl and bigon removals and
+    need one-sided strand collapses; the random shadows take the bigon
+    removal whose outer strands meet at the bigon itself, and some need
+    triangle slides.
+    """
+    f8 = pm.standard_figure8()
+    shadows = [("fig8#fig8", pm.connected_sum(f8, f8)),
+               ("trefoil#fig8", pm.connected_sum(pm.standard_trefoil(), f8)),
+               ("random_shadow(8, 1)", pm.random_shadow(8, 1)),
+               ("random_shadow(12, 1)", pm.random_shadow(12, 1))]
+    out = []
+    for name, s in shadows:
+        rng = random.Random(s.n)
+        for k in range(8):
+            bits = tuple(rng.randrange(2) for _ in range(s.n))
+            out.append((f"{name}/{k}", iv.Diagram(s, bits), 0))
+    # three of these stall until a triangle slide
+    for n, seed in ((9, 188), (11, 126), (12, 87)):
+        s = pm.random_shadow(n, seed)
+        rng = random.Random(seed)
+        for k in range(3):
+            bits = tuple(rng.randrange(2) for _ in range(n))
+            out.append((f"random_shadow({n}, {seed})/{k}/riii1",
+                        iv.Diagram(s, bits), 1))
+    for name in ("trefoil", "figure8", "random9_2"):
+        s = dict(CORPUS)[name]
+        out.append((f"{name}/alternating/riii2", iv.alternating_diagram(s), 2))
+    return out
+
+
+def _simplify_record(diagram, riii_depth):
+    out, moves = iv.simplify(diagram, riii_depth)
+    # round trip through JSON so tuples compare as the stored lists
+    return json.loads(json.dumps({
+        "twin": out.shadow.twin, "bits": out.bits,
+        "free_loops": out.shadow.free_loops, "moves": moves}))
+
+
+def test_simplify_matches_pins(monkeypatch):
+    # {name: {"twin", "bits", "free_loops", "moves"}}, captured before the
+    # simplifier's strand excision moved onto planemap's splicing engine
+    pins = json.loads(SIMPLIFY_PINS_PATH.read_text())
+    cases = simplify_pin_cases()
+    assert list(pins) == [name for name, _, _ in cases]
+    excisions = []
+    real = iv._Mut.excise
+
+    def counted(self, *args, **kwargs):
+        excisions.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(iv._Mut, "excise", counted)
+    collapses = fallbacks = 0
+    for name, d, riii_depth in cases:
+        excisions.clear()
+        got = _simplify_record(d, riii_depth)
+        assert got == pins[name], name
+        if riii_depth == 0:
+            # each collapse excises once; every other excision is a bigon
+            # removal whose outer strands run through the bigon's vertices
+            ta = sum(1 for m in got["moves"] if m[0] == "ta")
+            collapses += ta
+            fallbacks += len(excisions) - ta
+    assert collapses > 0 and fallbacks > 0
+
+
 def test_rii_removable_pairs_on_doubled_ring():
     s = pm.cn(3)
     alt = iv.alternating_diagram(s)
@@ -320,6 +393,11 @@ def test_census_threaded_matches_sequential():
     seq2 = iv.census(pm.connected_sum(s, s), threads=1)
     assert par == seq2
     assert iv.unknot_count(seq) == 12
+
+
+def test_census_rejects_a_negative_thread_count():
+    with pytest.raises(PreconditionViolated):
+        iv.census(pm.cn(3), threads=-4)
 
 
 def test_census_limit():

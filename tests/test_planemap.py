@@ -349,3 +349,32 @@ def test_plane_map_equal_mod_rotation():
     assert not pm.plane_map_equal(s, pm.chorizo(3))
     # the doubled triangle is the trefoil shadow in another labelling
     assert pm.plane_map_equal(s, pm.cn(3))
+
+
+# ---------------------------------------------------------------------------
+# strand splicing
+# ---------------------------------------------------------------------------
+
+def test_splice_rejoins_strands_in_place():
+    twin = list(pm.cn(3).twin)
+    paths, loops = pm.splice(twin, {d: d ^ 2 for d in range(4)})
+    assert loops == [] and twin[:4] == [-1] * 4
+    assert paths == {8: (8, 1, 3, 6), 6: (6, 3, 1, 8),
+                     11: (11, 2, 0, 5), 5: (5, 0, 2, 11)}
+    assert (twin[8], twin[6], twin[11], twin[5]) == (6, 8, 5, 11)
+    # the curl's only crossing leaves one closed curve behind
+    twin = list(pm.one_vertex().twin)
+    assert pm.splice(twin, {d: d ^ 2 for d in range(4)}) == ({}, [(0, 1, 3, 2)])
+    assert twin == [-1] * 4
+
+
+def test_excise_rejects_unrouted_darts_and_routes_onto_deleted_edges():
+    s = pm.cn(3)
+    with pytest.raises(PreconditionViolated, match="neither routed nor deleted"):
+        pm.excise(s, {0: 2, 2: 0})
+    # deleting an edge removes both its ends, which then need routes
+    with pytest.raises(PreconditionViolated, match="neither routed nor deleted"):
+        pm.excise(s, {}, frozenset({0}))
+    straight = {d: d ^ 2 for d in range(8)}
+    with pytest.raises(PreconditionViolated, match="onto a deleted edge"):
+        pm.excise(s, straight, frozenset({0}))
