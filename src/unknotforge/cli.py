@@ -64,6 +64,13 @@ def _threads(args) -> int:
     return threads
 
 
+def _check_limits(args) -> None:
+    for flag, limit in (("--census-limit", args.census_limit),
+                        ("--oracle-limit", args.oracle_limit)):
+        if limit < 0:
+            raise UsageError(f"{flag} must be 0 or more, not {limit}")
+
+
 def _print_census(shadow, census, args, generated=None, method=None, runtime_ms=0):
     if args.format == "json":
         sys.stdout.write(cd.census_report_json(
@@ -286,6 +293,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return USAGE_EXIT if e.code not in (0, None) else 0
     try:
+        _check_limits(args)
         return args.func(args)
     except (InternalInvariantViolation, NoAvoidingDigon) as e:
         print(f"refuted guarantee: {type(e).__name__}: {e}", file=sys.stderr)

@@ -129,19 +129,8 @@ class QuotientStep:
 def quotient(shadow: pm.Shadow, cyc: StraightAheadCycle) -> QuotientStep:
     """Remove the cycle's edges and suppress the resulting degree-2 vertices."""
     check_cycle(shadow, cyc)
-    c_slots = {}
-    for k, d in enumerate(cyc.darts):
-        v = pm.vertex_of(d)
-        in_dart = shadow.twin[cyc.darts[k - 1]]
-        c_slots[v] = (d, in_dart)
-    through = {}
-    for v, (out_dart, in_dart) in c_slots.items():
-        rest = [pm.dart_at(v, s) for s in range(4)
-                if pm.dart_at(v, s) not in (out_dart, in_dart)]
-        through[rest[0]] = rest[1]
-        through[rest[1]] = rest[0]
-        through[out_dart] = in_dart
-        through[in_dart] = out_dart
+    through = pm.cycle_through(shadow.twin, cyc.darts)
+    c_slots = {pm.vertex_of(d): (d, through[d]) for d in cyc.darts}
     deleted = frozenset(shadow.edge_id(d) for d in cyc.darts)
     ex = pm.excise(shadow, through, deleted)
     return QuotientStep(

@@ -281,18 +281,15 @@ def normalized_poly(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPoly
 # ---------------------------------------------------------------------------
 
 class _Mut:
-    """Mutable diagram state for in-place move application."""
+    """Mutable diagram state for in-place move application.  A vertex is
+    live while its darts are paired: removal sets them to -1."""
 
-    __slots__ = ("twin", "bits", "alive", "free_loops")
+    __slots__ = ("twin", "bits", "free_loops")
 
     def __init__(self, diagram: Diagram):
         self.twin = list(diagram.shadow.twin)
         self.bits = list(diagram.bits)
-        self.alive = [True] * diagram.n
         self.free_loops = diagram.shadow.free_loops
-
-    def sigma(self, d):
-        return self.twin[d] ^ 2
 
     def over_dart(self, d):
         return (d & 1) == self.bits[d >> 2]
@@ -302,9 +299,6 @@ class _Mut:
         new closed curves on them become free loops."""
         _, loops = pm.splice(self.twin, through, deleted)
         self.free_loops += len(loops)
-        for v in {d >> 2 for d in through}:
-            self.alive[v] = False
-            self.bits[v] = None
 
     def to_diagram(self):
         twin, order = pm.renumber(self.twin)
@@ -338,8 +332,6 @@ def _try_r1(state: _Mut, v):
                 neighbours = {x >> 2, y >> 2}
             for r in range(4):
                 twin[base + r] = -1
-            state.alive[v] = False
-            state.bits[v] = None
             return ("r1", v), neighbours
     return None
 
@@ -350,13 +342,11 @@ def _try_r2(state: _Mut, v):
         d = 4 * v + s
         t = twin[d]
         w = t >> 2
-        if w == v or not state.alive[w]:
+        if w == v:
             continue
         # bigon face {d, rotate(t)}: requires rotate(twin(rotate(t))) == d
         x = pm.rotate(t)
         if pm.rotate(twin[x]) != d:
-            continue
-        if twin[x] >> 2 != v:
             continue
         if state.over_dart(d) != state.over_dart(t):
             continue
@@ -377,33 +367,14 @@ def _try_r2(state: _Mut, v):
             for z in (v, w):
                 for r in range(4):
                     twin[4 * z + r] = -1
-                state.alive[z] = False
-                state.bits[z] = None
         else:
             state.excise(_straight_through_mut((v, w)))
         return ("r2", v, w), neighbours
     return None
 
 
-def _closed_subwalks(state: _Mut, v):
-    """The two straight-ahead closed subwalks based at vertex v."""
-    walks = []
-    first = pm.dart_at(v, 0)
-    seq = []
-    d = first
-    while True:
-        seq.append(d)
-        d = state.sigma(d)
-        if d >> 2 == v:
-            walks.append(seq)
-            seq = []
-            if d == first:
-                break
-    return walks
-
-
 def _try_type_a(state: _Mut, v):
-    walks = _closed_subwalks(state, v)
+    walks = pm.walks_at(state.twin, v)
     if len(walks) != 2:
         return None             # v is not a self-crossing of its curve
     for walk in walks:
@@ -416,17 +387,8 @@ def _try_type_a(state: _Mut, v):
         if len(overs) != 1:
             continue
         side = pm.OVER if overs.pop() else pm.UNDER
-        through = _straight_through_mut(interior)
-        in_dart = state.twin[walk[-1]]
-        survivors = [4 * v + s for s in range(4)
-                     if 4 * v + s not in (walk[0], in_dart)]
-        through[survivors[0]] = survivors[1]
-        through[survivors[1]] = survivors[0]
-        through[walk[0]] = in_dart
-        through[in_dart] = walk[0]
-        neighbours = set()
-        state.excise(through, walk)
-        return ("ta", v, side, tuple(interior)), neighbours
+        state.excise(pm.cycle_through(state.twin, walk), walk)
+        return ("ta", v, side, tuple(interior)), set()
     return None
 
 
@@ -440,34 +402,35 @@ def simplify(diagram: Diagram, riii_depth: int = 0):
     the greedy moves stall.
     """
     state = _Mut(diagram)
-    alive = state.alive
+    twin = state.twin
+    n = diagram.n
     moves = []
     # a min-heap of the queued vertices, each at most once
-    work = list(range(diagram.n))
-    queued = [True] * diagram.n
+    work = list(range(n))
+    queued = [True] * n
     while True:
         progress = False
         while work:
             v = heapq.heappop(work)
             queued[v] = False
-            if not alive[v]:
+            if twin[4 * v] < 0:
                 continue
             hit = _try_r1(state, v) or _try_r2(state, v)
             if hit:
                 move, neighbours = hit
                 moves.append(move)
                 for u in neighbours:
-                    if alive[u] and not queued[u]:
+                    if twin[4 * u] >= 0 and not queued[u]:
                         queued[u] = True
                         heapq.heappush(work, u)
                 progress = True
-        for v in range(len(alive)):
-            if alive[v]:
+        for v in range(n):
+            if twin[4 * v] >= 0:
                 hit = _try_type_a(state, v)
                 if hit:
                     move, _ = hit
                     moves.append(move)
-                    work = [u for u in range(len(alive)) if alive[u]]
+                    work = [u for u in range(n) if twin[4 * u] >= 0]
                     for u in work:
                         queued[u] = True
                     progress = True
@@ -577,25 +540,6 @@ def apply_rii_at(diagram: Diagram, v: int, w: int):
     return out, order
 
 
-def rii_removable_pairs(diagram: Diagram):
-    """Vertex pairs of bigon faces where one strand is over at both ends."""
-    shadow = diagram.shadow
-    out = []
-    for f in pm.faces(shadow):
-        if len(f) != 2:
-            continue
-        d, x = f
-        v, w = pm.vertex_of(d), pm.vertex_of(x)
-        if v == w:
-            continue
-        t = shadow.twin[d]
-        over_v = (d & 1) == diagram.bits[v]
-        over_w = (t & 1) == diagram.bits[pm.vertex_of(t)]
-        if over_v == over_w:
-            out.append(tuple(sorted((v, w))))
-    return sorted(set(out))
-
-
 # ---------------------------------------------------------------------------
 # Diagram-level insertion moves (used by invariance tests)
 # ---------------------------------------------------------------------------
@@ -680,10 +624,10 @@ class _ShadowRecord:
         work = set(range(shadow.n))
         while work:
             v = work.pop()
-            if state.alive[v]:
+            if state.twin[4 * v] >= 0:
                 hit = _try_r1(state, v)
                 if hit:
-                    work.update(u for u in hit[1] if state.alive[u])
+                    work.update(u for u in hit[1] if state.twin[4 * u] >= 0)
         reduced, self.keep = state.to_diagram()
         self.shadow = shadow
         self.quotient = reduced.shadow

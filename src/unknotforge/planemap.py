@@ -263,7 +263,8 @@ def component_report(shadow: Shadow) -> ComponentReport:
 
 
 def validate_shadow(shadow: Shadow) -> ComponentReport:
-    """Check involution, 4-regular dart bookkeeping, and per-component planarity."""
+    """Check involution, 4-regular dart bookkeeping, per-component planarity,
+    and that the outer face id names a face."""
     nd = 4 * shadow.n
     twin = shadow.twin
     if len(twin) != nd:
@@ -301,6 +302,8 @@ def validate_shadow(shadow: Shadow) -> ComponentReport:
                     f"component {i}: V-E+F = "
                     f"{v_count[i]}-{e_count[i]}+{f_count[i]} != 2"
                 )
+        if shadow.outer_face is None or not 0 <= shadow.outer_face < len(fs):
+            raise MissingOuterFace(f"outer face id {shadow.outer_face} out of range")
     return component_report(shadow)
 
 
@@ -378,6 +381,26 @@ def eulerian_walk(shadow: Shadow) -> Walk:
     return w
 
 
+def walks_at(twin, v):
+    """The straight-ahead walks from vertex ``v`` back to it, as exit dart
+    lists, following the curve from dart ``4v`` until it leaves by that dart
+    again.  A self-crossing of one curve gives two walks, a crossing of two
+    curves one.  ``twin`` may be a mutable list; only ``v``'s curve is read.
+    """
+    walks = []
+    first = 4 * v
+    seq = []
+    d = first
+    while True:
+        seq.append(d)
+        d = twin[d] ^ 2
+        if d >> 2 == v:
+            walks.append(seq)
+            seq = []
+            if d == first:
+                return walks
+
+
 def decompose_at_vertex(shadow: Shadow, v: int):
     """Split the Eulerian walk at ``v`` into two edge-disjoint closed walks.
 
@@ -385,19 +408,10 @@ def decompose_at_vertex(shadow: Shadow, v: int):
     """
     if not 0 <= v < shadow.n:
         raise PreconditionViolated(f"vertex {v} out of range")
-    exits = [dart_at(v, s) for s in range(4)]
-    w = straight_walk(shadow, exits[0])
-    cut = None
-    for i, d in enumerate(w.darts):
-        if i and vertex_of(d) == v:
-            cut = i
-            break
-    if cut is None:
+    walks = walks_at(shadow.twin, v)
+    if len(walks) != 2:
         raise NotAKnotShadow("walk does not revisit its start vertex")
-    return (
-        Walk(w.darts[:cut], v, True),
-        Walk(w.darts[cut:], v, True),
-    )
+    return tuple(Walk(tuple(w), v, True) for w in walks)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +570,25 @@ def splice(twin, through, deleted=()):
     for v in dead:
         twin[4 * v:4 * v + 4] = (-1, -1, -1, -1)
     return paths, loops
+
+
+def cycle_through(twin, darts):
+    """The ``splice`` routing that deletes the edges of a cycle.
+
+    ``darts`` are the cycle's exit darts; it visits each vertex once.  At
+    each of its vertices the cycle's two darts are joined, and so are the
+    other two, so the strand that met the cycle there is rejoined.
+    """
+    through = {}
+    for k, d in enumerate(darts):
+        in_dart = twin[darts[k - 1]]
+        base = d & ~3
+        rest = [x for x in range(base, base + 4) if x not in (d, in_dart)]
+        through[rest[0]] = rest[1]
+        through[rest[1]] = rest[0]
+        through[d] = in_dart
+        through[in_dart] = d
+    return through
 
 
 def renumber(twin):
@@ -844,25 +877,16 @@ def connected_sum(s: Shadow, t: Shadow, edge_s=None, edge_t=None) -> Shadow:
     if et not in outer_edges(t):
         raise NonOuterEdge(f"edge {et} is not on the outer face of the second shadow")
     off = 4 * s.n
-    twin = list(s.twin) + [d + off for d in t.twin]
-    a, ta = es, s.twin[es]
-    b, tb = et + off, t.twin[et] + off
-    for x, y in ((a, tb), (b, ta)):
-        twin[x] = y
-        twin[y] = x
-    cand = Shadow(s.n + t.n, tuple(twin), 0, 0)
-    try:
-        validate_shadow(cand)
-        ok = cand.curve_count() == 1
-    except NonPlanar:
-        ok = False
-    if not ok:
-        twin = list(s.twin) + [d + off for d in t.twin]
-        for x, y in ((a, b), (ta, tb)):
-            twin[x] = y
-            twin[y] = x
-        cand = Shadow(s.n + t.n, tuple(twin), 0, 0)
-        validate_shadow(cand)
-        if cand.curve_count() != 1:
-            raise InternalInvariantViolation("connected sum split the curve")
+    union = Shadow(s.n + t.n, s.twin + tuple(d + off for d in t.twin), 0, 0)
+
+    def crosswise(a, ta, b, tb, base):
+        return [(a, tb), (b, ta)]
+
+    def parallel(a, ta, b, tb, base):
+        return [(a, b), (ta, tb)]
+
+    cand = _try_wirings(union, es, et + off, [crosswise, parallel], 0, 1)
+    if cand is None:
+        raise InternalInvariantViolation(
+            "neither wiring of the connected sum is one planar curve")
     return cand.with_outer(face_of_dart(cand, 0))

@@ -183,6 +183,18 @@ def test_connsum(run, tmp_path, fig8_file):
     assert merged.n == 8
 
 
+def test_outer_face_out_of_range_is_invalid(run, tmp_path, fig8_file):
+    s = pm.cn(3)
+    p = tmp_path / "cn3.rot"
+    p.write_text(cd.emit(s, "rotmap").replace(f"outer={s.outer_face}", "outer=99", 1))
+    code, out, _ = run("validate", str(p))
+    assert code == 1
+    assert out.startswith("invalid: MissingOuterFace")
+    code, out, err = run("connsum", str(p), fig8_file)
+    assert code == 1
+    assert out == "" and err.startswith("error: MissingOuterFace")
+
+
 def test_gauss_and_pd_inputs(run, tmp_path):
     g = tmp_path / "trefoil.gauss"
     g.write_text(cd.emit(pm.standard_trefoil(), "gauss"))
@@ -237,6 +249,19 @@ def test_negative_thread_setting_is_a_usage_error(run, fig8_file, monkeypatch):
     code, out, err = run("--threads", "2", "census", fig8_file)
     assert code == 64
     assert out == "" and err.startswith("usage: ")
+
+
+def test_negative_census_limit_is_a_usage_error(run, fig8_file):
+    code, out, err = run("--census-limit", "-1", "census", fig8_file)
+    assert code == 64
+    assert out == "" and err == "usage: --census-limit must be 0 or more, not -1\n"
+
+
+def test_negative_oracle_limit_is_a_usage_error(run, fig8_file):
+    code, out, err = run("--oracle-limit", "-1", "classify", fig8_file,
+                         "--bits", "0101")
+    assert code == 64
+    assert out == "" and err == "usage: --oracle-limit must be 0 or more, not -1\n"
 
 
 def test_usage_error_exit(run):

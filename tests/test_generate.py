@@ -172,10 +172,17 @@ def test_digon_generation_even():
     assert gn.replay_all(res)
 
 
+# even-case shadows whose gray residual keeps vertices (1 and 5), so the
+# extension also assigns bits from the residual's descending diagram
+GRAY_RESIDUAL = {"digons-even-gray8": (8, 24), "digons-even-gray9": (9, 53)}
+
+
 @pytest.mark.parametrize("route, rejected, flips", [
     ("cycles", 72, 72),
     ("digons-odd", 64, 72),
     ("digons-even", 32, 32),
+    ("digons-even-gray8", 16, 16),
+    ("digons-even-gray9", 18, 18),
 ])
 def test_replay_rejects_flipped_bits(route, rejected, flips):
     # each of the first outputs, with one bit flipped, is replayed against
@@ -184,6 +191,10 @@ def test_replay_rejects_flipped_bits(route, rejected, flips):
         res = gn.generate_unknots(pm.random_shadow(9, 5), method="cycles")
     elif route == "digons-odd":
         res = gn.generate_unknots(pm.cn(9))
+    elif route in GRAY_RESIDUAL:
+        res = gn.generate_unknots(pm.random_shadow(*GRAY_RESIDUAL[route]),
+                                  method="digons")
+        route = "digons-even"
     else:
         res, _ = _even_digon_result()
     assert res.method == route

@@ -302,16 +302,28 @@ def test_simplify_matches_pins(monkeypatch):
     assert collapses > 0 and fallbacks > 0
 
 
+def test_simplify_stalls_on_link_crossings():
+    # no bigon of the doubled 4-ring is removable with all bits 0, and the
+    # one-sided collapse scan finds each crossing joins two curves
+    link = doubled_ring_link(4)
+    out, moves = iv.simplify(iv.Diagram(link, (0,) * 4))
+    assert moves == []
+    assert (out.shadow.twin, out.bits, out.shadow.free_loops) == \
+        (link.twin, (0,) * 4, 0)
+
+
 def test_rii_removable_pairs_on_doubled_ring():
+    # the ring has no curls, so a removable bigon is the simplifier's first
+    # move, and apply_rii_at checks it on the diagram itself
     s = pm.cn(3)
     alt = iv.alternating_diagram(s)
-    assert iv.rii_removable_pairs(alt) == []
+    assert iv.simplify(alt)[1] == []
     non_alt = iv.Diagram(s, tuple(b ^ (1 if i == 0 else 0)
                                   for i, b in enumerate(alt.bits)))
     assert not iv.is_alternating(non_alt)
-    pairs = iv.rii_removable_pairs(non_alt)
-    assert pairs
-    child, _ = iv.apply_rii_at(non_alt, *pairs[0])
+    _, moves = iv.simplify(non_alt)
+    assert moves[0][0] == "r2"
+    child, _ = iv.apply_rii_at(non_alt, *moves[0][1:])
     assert child.n == 1
 
 

@@ -144,6 +144,16 @@ def test_chorizo_end_vertex_walk_is_the_loop():
     assert min(len(w1), len(w2)) == 1
 
 
+def test_decompose_rejects_a_link_crossing():
+    # every crossing of the doubled 4-ring is one of its two curves over the
+    # other, so the walk from it comes back only by the dart it left by
+    from conftest import doubled_ring_link
+    link = doubled_ring_link(4)
+    assert len(pm.walks_at(link.twin, 0)) == 1
+    with pytest.raises(NotAKnotShadow):
+        pm.decompose_at_vertex(link, 0)
+
+
 # ---------------------------------------------------------------------------
 # cut vertices
 # ---------------------------------------------------------------------------
@@ -188,6 +198,16 @@ def test_depth_matches_all_pairs_oracle(corpus):
         if s.n == 0:
             continue
         assert pm.depth(s) == floyd_warshall_depth(s), name
+
+
+def test_validate_rejects_an_outer_face_out_of_range():
+    s = pm.cn(3)
+    assert pm.validate_shadow(s.with_outer(len(pm.faces(s)) - 1)).is_knot_shadow
+    for outer in (len(pm.faces(s)), 99, -1):
+        with pytest.raises(MissingOuterFace):
+            pm.validate_shadow(s.with_outer(outer))
+    with pytest.raises(MissingOuterFace):
+        pm.build_shadow([(0, 1), (2, 3)], outer_face=3)
 
 
 def test_depth_requires_outer_face():
