@@ -71,11 +71,10 @@ def _check_limits(args) -> None:
             raise UsageError(f"{flag} must be 0 or more, not {limit}")
 
 
-def _print_census(shadow, census, args, generated=None, method=None, runtime_ms=0):
+def _print_census(shadow, census, args, runtime_ms):
     if args.format == "json":
         sys.stdout.write(cd.census_report_json(
-            shadow, census, generated, method,
-            runtime_ms if args.timing else 0))
+            shadow, census, runtime_ms if args.timing else 0))
     elif args.format == "csv":
         sys.stdout.write(cd.census_csv(census))
     else:
@@ -83,9 +82,8 @@ def _print_census(shadow, census, args, generated=None, method=None, runtime_ms=
         total = sum(named.values())
         for name in sorted(named):
             print(f"{name},{named[name]}")
-        unknot = sum(c for k, c in named.items() if k == "unknot")
         print(f"total,{total}")
-        print(f"unknot_fraction,{unknot}/{total}")
+        print(f"unknot_fraction,{iv.unknot_count(census)}/{total}")
 
 
 def cmd_validate(args):
@@ -112,7 +110,7 @@ def cmd_census(args):
     t0 = time.monotonic()
     census = iv.census(shadow, limit=args.census_limit, threads=_threads(args))
     ms = int(1000 * (time.monotonic() - t0))
-    _print_census(shadow, census, args, runtime_ms=ms)
+    _print_census(shadow, census, args, ms)
     return 0
 
 
@@ -125,8 +123,8 @@ def cmd_generate(args):
     payload["replay_ok"] = gn.replay_all(result)
     payload["runtime_ms"] = ms if args.timing else 0
     if args.dump_decomposition:
-        payload["decomposition"] = json.loads(
-            dc.decomposition_json(dc.greedy_cycle_decomposition(shadow)))
+        payload["decomposition"] = dc.decomposition_report(
+            dc.greedy_cycle_decomposition(shadow))
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -152,7 +150,7 @@ def cmd_classify(args):
     else:
         raise UsageError("input is a shadow; supply --bits")
     cls = iv.classify(diagram, limit=args.oracle_limit)
-    print(cls.name + (" (presumed)" if cls.presumed else ""))
+    print(cls.name)
     return 0
 
 

@@ -134,9 +134,9 @@ def _gauss_tokens(shadow: pm.Shadow, walk, bits):
     return tokens
 
 
-def _emit_gauss(obj, strip=False) -> str:
+def _emit_gauss(obj) -> str:
     if isinstance(obj, iv.Diagram):
-        shadow, bits = obj.shadow, (None if strip else obj.bits)
+        shadow, bits = obj.shadow, obj.bits
     else:
         shadow, bits = obj, None
     if shadow.n == 0 or shadow.free_loops:
@@ -397,18 +397,16 @@ def census_csv(census: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def census_report_json(shadow: pm.Shadow, census: dict,
-                       generated_count=None, method=None,
-                       runtime_ms=0) -> str:
+def census_report_json(shadow: pm.Shadow, census: dict, runtime_ms=0) -> str:
+    """The census as JSON; ``unknot_count`` includes presumed unknots."""
     named = census_to_names(census)
     payload = {
         "shadow": _emit_rotmap(shadow),
         "n": shadow.n,
         "census": {k: named[k] for k in sorted(named)},
-        "unknot_count": sum(c for name, c in named.items()
-                            if name == "unknot"),
-        "generated_count": generated_count,
-        "method": method,
+        "unknot_count": iv.unknot_count(census),
+        "generated_count": None,
+        "method": None,
         "runtime_ms": runtime_ms,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -121,9 +121,9 @@ class QuotientStep:
     edge_paths: dict            # child edge id -> parent dart path
     loop_paths: tuple
 
-    def cycle_parity(self, parent_vertex: int) -> int:
+    def cycle_parity(self, v: int) -> int:
         """Strand parity of the cycle's pass through a removed non-root vertex."""
-        return self.c_slots[parent_vertex][0] & 1
+        return self.c_slots[v][0] & 1
 
 
 def quotient(shadow: pm.Shadow, cyc: StraightAheadCycle) -> QuotientStep:
@@ -169,9 +169,6 @@ class CycleDecomposition:
     @property
     def size(self) -> int:
         return len(self.steps) + 1
-
-    def cycles(self):
-        return tuple(s.cycle for s in self.steps)
 
 
 def _vertices_of_edges(shadow: pm.Shadow, edge_ids) -> frozenset:
@@ -226,16 +223,13 @@ def greedy_cycle_decomposition(shadow: pm.Shadow) -> CycleDecomposition:
     return CycleDecomposition(shadow, tuple(steps), p_edges, p_vertices)
 
 
-def decomposition_json(dec: CycleDecomposition) -> str:
-    """Dump the removed cycles as vertex sequences, for CLI inspection."""
-    import json
-
-    payload = {
+def decomposition_report(dec: CycleDecomposition) -> dict:
+    """The removed cycles as vertex sequences, for CLI inspection."""
+    return {
         "size": dec.size,
         "cycles": [list(step.cycle.vertices()) for step in dec.steps] + [[]],
         "primary_vertices": [sorted(vs) for vs in dec.primary_vertices],
     }
-    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def find_shared_pair(dec: CycleDecomposition):

@@ -42,8 +42,7 @@ class MarkedOverlay:
     overlay is the whole shadow and ``root`` is the single tangential
     vertex.  In the even form the overlay is the two curves alone and
     ``blue_mark``/``red_mark`` are the edges carrying the suppressed cycle
-    roots.  ``parent_vertex`` maps overlay vertices to the originating
-    shadow when one exists.
+    roots.
     """
 
     shadow: pm.Shadow
@@ -52,7 +51,6 @@ class MarkedOverlay:
     root: int | None = None
     blue_mark: int | None = None
     red_mark: int | None = None
-    parent_vertex: tuple | None = None
 
     @property
     def m(self) -> int:
@@ -156,8 +154,7 @@ def build_overlay(shadow: pm.Shadow, blue: StraightAheadCycle,
     if colored == all_edges:
         if blue.root != red.root:
             raise MalformedRoots("full-cover overlay must share its root")
-        ov = MarkedOverlay(shadow, "odd", tuple(colors), root=blue.root,
-                           parent_vertex=tuple(range(shadow.n)))
+        ov = MarkedOverlay(shadow, "odd", tuple(colors), root=blue.root)
         _validate_overlay(ov)
         return ov
 
@@ -192,8 +189,7 @@ def build_overlay(shadow: pm.Shadow, blue: StraightAheadCycle,
     if child.n and (blue_mark is None or red_mark is None):
         raise MalformedRoots("cycle roots did not land on overlay edges")
     ov = MarkedOverlay(child, "even", tuple(child_colors),
-                       blue_mark=blue_mark, red_mark=red_mark,
-                       parent_vertex=ex.old_vertex)
+                       blue_mark=blue_mark, red_mark=red_mark)
     _validate_overlay(ov)
     return ov
 
@@ -202,15 +198,8 @@ def build_overlay(shadow: pm.Shadow, blue: StraightAheadCycle,
 # Digon detection
 # ---------------------------------------------------------------------------
 
-def digons(overlay: MarkedOverlay, check_preconditions: bool = True):
+def digons(overlay: MarkedOverlay):
     """All digons: blue/red edge pairs with identical transversal endpoints."""
-    if check_preconditions:
-        m = overlay.m
-        if overlay.kind == "odd":
-            if m < 3:
-                raise PreconditionViolated("odd overlay needs m >= 3 for digons")
-        elif m < 2:
-            raise PreconditionViolated("even overlay needs m >= 2 for digons")
     shadow = overlay.shadow
     by_ends = {}
     for e in overlay.blue_edges():
@@ -235,8 +224,15 @@ def digon_avoiding(overlay: MarkedOverlay) -> Digon:
     """The least digon avoiding the marks (even) or the root (odd).
 
     Such a digon always exists for m >= 2 transversal overlays and for
-    rooted overlays with m >= 3; its absence is surfaced loudly.
+    rooted overlays with m >= 3; below that PreconditionViolated, and its
+    absence above is surfaced loudly.
     """
+    m = overlay.m
+    if overlay.kind == "odd":
+        if m < 3:
+            raise PreconditionViolated("odd overlay needs m >= 3 for digons")
+    elif m < 2:
+        raise PreconditionViolated("even overlay needs m >= 2 for digons")
     cands = digons(overlay)
     if overlay.kind == "even":
         cands = [g for g in cands
@@ -261,7 +257,7 @@ def split_digon(overlay: MarkedOverlay, g: Digon):
     assignment to its two parent extensions.
     """
     shadow = overlay.shadow
-    if g not in digons(overlay, check_preconditions=False):
+    if g not in digons(overlay):
         raise NotADigon(f"{g} is not a digon of this overlay")
     e_darts = (g.blue_edge, shadow.twin[g.blue_edge])
     f_darts = (g.red_edge, shadow.twin[g.red_edge])
@@ -312,15 +308,11 @@ def split_digon(overlay: MarkedOverlay, g: Digon):
         new_red_mark = _carried_mark(shadow, ex, overlay.red_mark)
         child_colors = tuple(child_colors)
 
-    parent = None
-    if overlay.parent_vertex is not None:
-        parent = tuple(overlay.parent_vertex[pv] for pv in ex.old_vertex)
     child_ov = MarkedOverlay(
         child, overlay.kind, child_colors,
         root=(ex.old_vertex.index(overlay.root) if overlay.root in ex.old_vertex
               else None),
         blue_mark=new_blue_mark, red_mark=new_red_mark,
-        parent_vertex=parent,
     )
     if child.n:
         _validate_overlay(child_ov)
@@ -365,8 +357,8 @@ def two_circle_overlay() -> MarkedOverlay:
     return MarkedOverlay(shadow, "even", tuple(colors))
 
 
-def random_overlay(m: int, seed: int, with_marks: bool = True) -> MarkedOverlay:
-    """Random all-transversal overlay with ``m`` crossings (even m >= 2).
+def random_overlay(m: int, seed: int) -> MarkedOverlay:
+    """Random marked all-transversal overlay with ``m`` crossings (even m >= 2).
 
     Grown from two crossing circles by repeatedly poking one curve across
     the other; deterministic in the seed.
@@ -399,9 +391,7 @@ def random_overlay(m: int, seed: int, with_marks: bool = True) -> MarkedOverlay:
             colors[child.twin[ce]] = col
         ov = MarkedOverlay(child, "even", tuple(colors))
     _validate_overlay(ov)
-    if with_marks:
-        blue_mark = rng.choice(ov.blue_edges())
-        red_mark = rng.choice(ov.red_edges())
-        ov = MarkedOverlay(ov.shadow, "even", ov.colors,
-                           blue_mark=blue_mark, red_mark=red_mark)
-    return ov
+    blue_mark = rng.choice(ov.blue_edges())
+    red_mark = rng.choice(ov.red_edges())
+    return MarkedOverlay(ov.shadow, "even", ov.colors,
+                         blue_mark=blue_mark, red_mark=red_mark)

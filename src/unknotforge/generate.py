@@ -302,7 +302,8 @@ def _even_extension(t_shadow, pair, overlay) -> Restrict:
     strand, zero bits at the two roots, and the descending diagram on the
     gray residual (the shadow left after deleting both cycles' edges).
     That residual must simplify to the trivial diagram; this is checked
-    here, once for every output that shares it.
+    here, once for every output that shares it.  The overlay's vertices are
+    the subshadow vertices with four coloured darts, in order.
     """
     colored = pair.blue.edge_ids(t_shadow) | pair.red.edge_ids(t_shadow)
     colored_darts = set()
@@ -311,10 +312,13 @@ def _even_extension(t_shadow, pair, overlay) -> Restrict:
         colored_darts.add(t_shadow.twin[e])
     want = {}
     through = {}
+    overlay_vertices = []
     for v in range(t_shadow.n):
         darts = [pm.dart_at(v, s) for s in range(4)]
         cds = [d for d in darts if d in colored_darts]
-        if len(cds) == 2:
+        if len(cds) == 4:
+            overlay_vertices.append(v)
+        elif len(cds) == 2:
             if (cds[0] ^ cds[1]) & 3 == 2:
                 # one colored pass crossing gray: colour goes on top
                 want[v] = cds[0] & 1
@@ -333,7 +337,7 @@ def _even_extension(t_shadow, pair, overlay) -> Restrict:
         if tv in want:
             raise InternalInvariantViolation("gray vertex already assigned")
         want[tv] = gray.bits[gv]
-    return Restrict(tuple(want.items()), overlay.shadow, overlay.parent_vertex)
+    return Restrict(tuple(want.items()), overlay.shadow, tuple(overlay_vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +457,17 @@ def trefoil_diagram(shadow: pm.Shadow,
     if loop is None:
         raise InternalInvariantViolation(
             "nontrivial shadow without any straight-ahead cycle")
-    step = dc.quotient(shadow, loop)
+    return _trefoil_over_quotient(shadow, loop, limit)
+
+
+def _trefoil_over_quotient(shadow, cyc, limit):
+    """Solve the quotient by a cycle and lift back with the removed strand
+    on top; the quotient keeps a non-cut vertex, so a trefoil exists."""
+    step = dc.quotient(shadow, cyc)
     inner = trefoil_diagram(step.child, limit)
     if inner is None:
         raise InternalInvariantViolation(
-            "curl removal must preserve the all-unknot verdict")
+            "the quotient lost the non-cut structure")
     return lift_over_cycle(inner, step, pm.OVER, 0)
 
 
@@ -485,20 +495,14 @@ def _trefoil_from_cycle(shadow, cyc, limit):
         for k, z in enumerate(verts):
             if z in first:
                 # a repeated vertex encloses a straight-ahead cycle avoiding
-                # the frame; quotient it away, solve the smaller shadow, and
-                # lift back with the removed strand on top
+                # the frame; quotient it away
                 sub = part[first[z]:k]
                 f_cyc = dc.StraightAheadCycle(z, tuple(sub))
                 dc.check_cycle(shadow, f_cyc)
                 if {r, u, v} & set(f_cyc.vertices()):
                     raise InternalInvariantViolation(
                         "inner cycle touches the frame vertices")
-                step = dc.quotient(shadow, f_cyc)
-                inner = trefoil_diagram(step.child, limit)
-                if inner is None:
-                    raise InternalInvariantViolation(
-                        "quotient lost the non-cut structure")
-                return lift_over_cycle(inner, step, pm.OVER, 0)
+                return _trefoil_over_quotient(shadow, f_cyc, limit)
             first[z] = k
     # all three walks are paths: the long way round goes on top and the
     # three frame crossings get searched for a trefoil prescription

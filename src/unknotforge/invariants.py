@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import planemap as pm
@@ -38,12 +38,8 @@ class LaurentPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=()):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        self.terms = tuple(sorted((e, c) for e, c in items if c))
+    def __init__(self, terms: dict):
+        self.terms = tuple(sorted((e, c) for e, c in terms.items() if c))
 
     def __bool__(self):
         return bool(self.terms)
@@ -56,31 +52,13 @@ class LaurentPoly:
     def __hash__(self):
         return hash(self.terms)
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.terms})
         acc = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 k = e1 + e2
                 acc[k] = acc.get(k, 0) + c1 * c2
         return LaurentPoly(acc)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
@@ -569,12 +547,14 @@ def insert_poke_diagram(diagram: Diagram, dart_a: int, dart_b: int,
 class KnotClass:
     kind: str
     poly: LaurentPoly | None = None
-    presumed: bool = field(default=False, compare=False)
+    presumed: bool = False
 
     @property
     def name(self) -> str:
         if self.kind == "other":
             return f"other[{self.poly}]"
+        if self.presumed:
+            return f"{self.kind} (presumed)"
         return self.kind
 
     def __str__(self):
@@ -700,20 +680,20 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
 
 
 def _census_chunk(args):
-    shadow, start, stop, limit, riii_depth = args
+    shadow, start, stop, limit = args
     rec = _shadow_record(shadow)
     q = len(rec.keep)
     weight = 1 << (shadow.n - q)
     counts = {}
     for k in range(start, stop):
-        c = rec.verdict(tuple((k >> i) & 1 for i in range(q)), limit, riii_depth)
+        c = rec.verdict(tuple((k >> i) & 1 for i in range(q)), limit, 0)
         counts[c] = counts.get(c, 0) + weight
     return counts
 
 
-def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1,
-           riii_depth: int = 0):
-    """Classify all 2^n assignments.  Deterministic for any thread count.
+def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1):
+    """Classify all 2^n assignments as ``classify`` does at RIII depth 0,
+    presumed unknots apart.  Deterministic for any thread count.
 
     Only the 2^q assignments of the curl quotient's q vertices are
     classified, each standing for the 2^(n - q) diagrams that differ from
@@ -729,9 +709,9 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1,
         threads = min(os.cpu_count() or 1, 8)
     threads = max(1, min(threads, total))
     if threads == 1 or total < 256:
-        return _census_chunk((shadow, 0, total, limit, riii_depth))
+        return _census_chunk((shadow, 0, total, limit))
     chunk = (total + 4 * threads - 1) // (4 * threads)
-    jobs = [(shadow, lo, min(lo + chunk, total), limit, riii_depth)
+    jobs = [(shadow, lo, min(lo + chunk, total), limit)
             for lo in range(0, total, chunk)]
     counts = {}
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -742,4 +722,5 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1,
 
 
 def unknot_count(census_result) -> int:
+    """Unknots in a census, certified and presumed."""
     return sum(k for cls, k in census_result.items() if cls.kind == "unknot")

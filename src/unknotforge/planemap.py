@@ -5,7 +5,7 @@ four darts ``4v .. 4v+3``; the slot ``d % 4`` is the counterclockwise rotation
 position of dart ``d`` at its vertex.  An involution ``twin`` pairs the two
 half-edges of every edge.  The two strands through a vertex occupy the
 opposite slot pairs {0,2} and {1,3}, so the straight-ahead successor of a
-dart is ``opposite(twin(d))``.
+dart is ``twin(d) ^ 2``.
 
 Vertex-less closed-curve components carry no darts and are counted by
 ``free_loops``.
@@ -45,11 +45,6 @@ def slot_of(dart: int) -> int:
 
 def dart_at(vertex: int, slot: int) -> int:
     return 4 * vertex + (slot & 3)
-
-
-def opposite(dart: int) -> int:
-    """The dart on the same strand, other side of the vertex."""
-    return dart ^ 2
 
 
 def rotate(dart: int) -> int:
@@ -110,7 +105,6 @@ class Shadow:
 class ComponentReport:
     kind: str                 # "trivial" | "knot" | "link" | "disconnected" | "empty"
     curve_count: int
-    free_loops: int
 
     @property
     def is_knot_shadow(self) -> bool:
@@ -177,15 +171,6 @@ def faces(shadow: Shadow):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FaceMap:
-    """Faces of a shadow plus dual-graph depths from the outer face."""
-
-    face_of: tuple           # dart -> face id
-    face_darts: tuple        # face id -> dart tuple
-    depth_of: tuple          # face id -> BFS distance from the outer face
-
-
 def face_of_dart(shadow: Shadow, dart: int) -> int:
     for i, f in enumerate(faces(shadow)):
         if dart in f:
@@ -193,12 +178,18 @@ def face_of_dart(shadow: Shadow, dart: int) -> int:
     raise ValueError(f"dart {dart} out of range")
 
 
-def face_map(shadow: Shadow) -> FaceMap:
+def depth(shadow: Shadow) -> int:
+    """Maximum dual-graph distance of a face from the outer face.
+
+    Free loops are treated as nested once inside the outer face, so the
+    trivial shadow has depth 1.
+    """
     if shadow.outer_face is None:
         raise MissingOuterFace("shadow has no designated outer face")
-    fs = faces(shadow)
+    best = 1 if shadow.free_loops else 0
     if shadow.n == 0:
-        return FaceMap((), ((),), (0,))
+        return best
+    fs = faces(shadow)
     if not 0 <= shadow.outer_face < len(fs):
         raise MissingOuterFace(f"outer face id {shadow.outer_face} out of range")
     face_of = [0] * (4 * shadow.n)
@@ -218,20 +209,7 @@ def face_map(shadow: Shadow) -> FaceMap:
                     dist[g] = dist[f] + 1
                     nxt.append(g)
         frontier = nxt
-    return FaceMap(tuple(face_of), fs, tuple(dist))
-
-
-def depth(shadow: Shadow) -> int:
-    """Maximum dual-graph distance of a face from the outer face.
-
-    Free loops are treated as nested once inside the outer face, so the
-    trivial shadow has depth 1.
-    """
-    fm = face_map(shadow)
-    best = max(fm.depth_of) if fm.depth_of else 0
-    if shadow.free_loops:
-        best = max(best, 1)
-    return best
+    return max(best, max(dist))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +237,7 @@ def component_report(shadow: Shadow) -> ComponentReport:
         kind = "knot"
     else:
         kind = "link"
-    return ComponentReport(kind, total_curves, shadow.free_loops)
+    return ComponentReport(kind, total_curves)
 
 
 def validate_shadow(shadow: Shadow) -> ComponentReport:
@@ -349,7 +327,6 @@ class Walk:
 
     darts: tuple
     start_vertex: int
-    closed: bool = True
 
     def __len__(self):
         return len(self.darts)
@@ -361,7 +338,7 @@ class Walk:
 def straight_walk(shadow: Shadow, start_dart=None) -> Walk:
     """The straight-ahead orbit through ``start_dart`` as a closed walk."""
     if shadow.n == 0:
-        return Walk((), -1, True)
+        return Walk((), -1)
     d0 = 0 if start_dart is None else start_dart
     if not 0 <= d0 < 4 * shadow.n:
         raise PreconditionViolated(f"dart {d0} out of range")
@@ -370,7 +347,7 @@ def straight_walk(shadow: Shadow, start_dart=None) -> Walk:
     while d != d0:
         seq.append(d)
         d = shadow.sigma(d)
-    return Walk(tuple(seq), vertex_of(d0), True)
+    return Walk(tuple(seq), vertex_of(d0))
 
 
 def eulerian_walk(shadow: Shadow) -> Walk:
@@ -411,7 +388,7 @@ def decompose_at_vertex(shadow: Shadow, v: int):
     walks = walks_at(shadow.twin, v)
     if len(walks) != 2:
         raise NotAKnotShadow("walk does not revisit its start vertex")
-    return tuple(Walk(tuple(w), v, True) for w in walks)
+    return tuple(Walk(tuple(w), v) for w in walks)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +486,11 @@ def splice(twin, through, deleted=()):
     vertex).  Every strand that ran through removed vertices is joined up
     and the darts of removed vertices are set to -1.
 
-    Returns ``(paths, loops)``.  ``paths`` maps each surviving dart whose
-    twin changed to the parent darts its strand now runs along, from that
-    dart to its new twin.  ``loops`` lists the parent dart paths of the
-    closed curves that ran through removed vertices only, each from its
-    least dart.
+    Returns ``(paths, loops)``.  ``paths`` maps the smaller end dart of
+    each rejoined strand to the parent darts the strand now runs along,
+    from that dart to its new twin.  ``loops`` lists the parent dart paths
+    of the closed curves that ran through removed vertices only, each from
+    its least dart.
     """
     gone = set()
     for d in deleted:
@@ -534,7 +511,7 @@ def splice(twin, through, deleted=()):
     seen = set()
     for y in exits:
         q = twin[y]
-        if q in paths:
+        if q in seen:
             continue
         path = [q]
         while y >> 2 in dead:
@@ -548,9 +525,10 @@ def splice(twin, through, deleted=()):
         seen.update(path)
         twin[q] = y
         twin[y] = q
-        path = tuple(path)
-        paths[q] = path
-        paths[y] = path[::-1]
+        if y < q:
+            q, y = y, q
+            path.reverse()
+        paths[q] = tuple(path)
     loops = []
     for d0 in sorted(through):
         if d0 in gone or d0 in seen:

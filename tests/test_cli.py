@@ -7,6 +7,7 @@ import pytest
 
 from unknotforge import cli
 from unknotforge import codec as cd
+from unknotforge import decomp as dc
 from unknotforge import invariants as iv
 from unknotforge import planemap as pm
 
@@ -71,6 +72,27 @@ def test_census_text_and_json(run, fig8_file):
     assert payload["runtime_ms"] == 0
 
 
+def test_census_splits_presumed_unknots(run, tmp_path):
+    # classify presumes 8 of this shadow's 256 diagrams unknot
+    p = tmp_path / "r8.rot"
+    p.write_text(cd.emit(pm.random_shadow(8, 16), "rotmap"))
+    code, out, _ = run("census", str(p))
+    lines = out.splitlines()
+    assert code == 0
+    assert "unknot,144" in lines and "unknot (presumed),8" in lines
+    assert lines[-2:] == ["total,256", "unknot_fraction,152/256"]
+    code, out, _ = run("--format", "csv", "census", str(p))
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "class,count"
+    assert "unknot,144" in lines and "unknot (presumed),8" in lines
+    code, out, _ = run("--format", "json", "census", str(p))
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["census"]["unknot"] == 144
+    assert payload["census"]["unknot (presumed)"] == 8
+    assert payload["unknot_count"] == 152
+
+
 def test_census_byte_identical_across_threads(run, fig8_file):
     _, out1, _ = run("--threads", "1", "census", fig8_file)
     _, out2, _ = run("--threads", "2", "census", fig8_file)
@@ -84,6 +106,19 @@ def test_generate_bound(run, fig8_file):
     assert payload["bound_satisfied"] is True
     assert payload["replay_ok"] is True
     assert payload["count"] >= payload["bound"]
+
+
+def test_generate_json_dumps_the_decomposition(run, tmp_path):
+    for shadow in (pm.cn(5), pm.random_shadow(8, 24)):
+        p = tmp_path / "shadow.rot"
+        p.write_text(cd.emit(shadow, "rotmap"))
+        code, out, _ = run("--format", "json", "generate", str(p),
+                           "--dump-decomposition")
+        assert code == 0
+        got = json.loads(out)["decomposition"]
+        dec = dc.greedy_cycle_decomposition(shadow)
+        assert got["size"] == dec.size
+        assert got["cycles"] == [list(st.cycle.vertices()) for st in dec.steps] + [[]]
 
 
 def test_generate_methods(run, tmp_path):
@@ -206,6 +241,17 @@ def test_gauss_and_pd_inputs(run, tmp_path):
     p.write_text(cd.emit(d, "pd"))
     code, out, _ = run("classify", str(p))
     assert code == 0 and out.startswith("trefoil")
+
+
+def test_validate_prints_the_bits_of_a_diagram(run, tmp_path):
+    d = iv.alternating_diagram(pm.standard_trefoil())
+    for fmt in ("gauss", "pd"):
+        text = cd.emit(d, fmt)
+        p = tmp_path / f"trefoil.{fmt}"
+        p.write_text(text)
+        code, out, _ = run("validate", str(p))
+        bits = "".join(map(str, cd.parse(text, fmt).bits))
+        assert code == 0 and out.splitlines()[-1] == f"bits: {bits}", fmt
 
 
 def test_bad_file_exit_code(run, tmp_path):

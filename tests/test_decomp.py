@@ -26,7 +26,7 @@ def test_first_cycle_of_trefoil_walk():
 def test_walk_that_is_already_a_cycle_returned_unchanged():
     s = pm.cn(3)
     c = dc.find_straight_ahead_cycle(s, pm.eulerian_walk(s))
-    w = pm.Walk(c.darts, c.root, True)
+    w = pm.Walk(c.darts, c.root)
     again = dc.find_straight_ahead_cycle(s, w)
     assert again.darts == c.darts
 
@@ -107,7 +107,7 @@ def test_trivial_decomposition_size_one():
 def test_chorizo_decomposition_all_singletons():
     d = dc.greedy_cycle_decomposition(pm.chorizo(4))
     assert d.size == 5
-    assert all(len(set(c.vertices())) == 1 for c in d.cycles())
+    assert all(len(set(s.cycle.vertices())) == 1 for s in d.steps)
 
 
 def test_primary_sequence_partitions_edges(corpus_shadow):
@@ -225,7 +225,8 @@ def test_reduce_preserves_shared_count(corpus):
 def test_decomposition_json_dump():
     import json
     d = dc.greedy_cycle_decomposition(pm.chorizo(3))
-    payload = json.loads(dc.decomposition_json(d))
+    payload = dc.decomposition_report(d)
+    assert json.loads(json.dumps(payload)) == payload
     assert payload["size"] == d.size
     assert len(payload["cycles"]) == d.size
     assert all(len(c) == 1 for c in payload["cycles"][:-1])

@@ -118,6 +118,23 @@ def test_odd_chain_reaches_one_vertex_base():
         assert ov.shadow.n == 1
 
 
+def test_digon_bases_have_no_digons():
+    # the odd chain of cn(5) ends at its one-vertex base, and an even
+    # overlay at the crossing-free unlink; below m = 3 (odd) or m = 2
+    # (even) digon_avoiding refuses, and there are no digons to avoid
+    s, pair = cn_pair(5)
+    odd = dg.build_overlay(pair.subshadow, pair.blue, pair.red)
+    while odd.m > 1:
+        odd, _ = dg.split_digon(odd, dg.digon_avoiding(odd))
+    even = dg.random_overlay(2, 3)
+    unlink, _ = dg.split_digon(even, dg.digon_avoiding(even))
+    assert odd.shadow.n == 1 and unlink.shadow.n == 0
+    for base in (odd, unlink):
+        assert dg.digons(base) == []
+        with pytest.raises(PreconditionViolated, match="needs m >="):
+            dg.digon_avoiding(base)
+
+
 def test_overlay_of_disjoint_cycles_two_loops():
     # two one-vertex cycles of the chorizo share nothing: the overlay is a
     # pair of free loops

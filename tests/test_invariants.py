@@ -483,6 +483,25 @@ def test_census_matches_classify_over_all_assignments(threads):
         assert named == brute, s
 
 
+@pytest.mark.parametrize("threads", (1, 2))
+def test_census_keeps_presumed_unknots_apart(threads):
+    # (8, 16) has a 6-vertex curl quotient, so it is classified in one chunk;
+    # (10, 16) has an 8-vertex one, so two threads run a process pool
+    for (n, seed), certified, presumed in (((8, 16), 144, 8), ((10, 16), 512, 32)):
+        s = pm.random_shadow(n, seed)
+        census = iv.census(s, threads=threads)
+        named = {c.name: k for c, k in census.items()}
+        assert named["unknot"] == certified, (n, seed)
+        assert named["unknot (presumed)"] == presumed, (n, seed)
+        assert iv.unknot_count(census) == certified + presumed
+        assert census[iv.KnotClass("unknot", presumed=True)] == presumed
+
+
+def test_diagram_needs_one_bit_per_vertex():
+    with pytest.raises(PreconditionViolated, match="bit vector length"):
+        iv.Diagram(pm.cn(3), (0, 1))
+
+
 def _fresh_verdict(diagram, limit, riii_depth):
     """The verdict of a new interpreter that classifies only this diagram."""
     src = os.path.dirname(os.path.dirname(iv.__file__))
