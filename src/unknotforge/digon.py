@@ -54,8 +54,9 @@ class MarkedOverlay:
 
     @property
     def m(self) -> int:
-        """Number of shared (blue-red) vertices."""
-        return sum(1 for v in range(self.shadow.n) if self.is_shared(v))
+        """Number of shared (blue-red) vertices: each curve is a cycle, so
+        every vertex of the overlay is one."""
+        return self.shadow.n
 
     def blue_edges(self):
         return [e for e in self.shadow.edges() if self.colors[e] == BLUE]
@@ -66,9 +67,6 @@ class MarkedOverlay:
     def darts_of_color(self, v: int, color: str):
         return [pm.dart_at(v, s) for s in range(4)
                 if self.colors[pm.dart_at(v, s)] == color]
-
-    def is_shared(self, v: int) -> bool:
-        return len(self.darts_of_color(v, BLUE)) == 2
 
     def is_tangential(self, v: int) -> bool:
         """Blue darts rotation-adjacent rather than opposite."""
@@ -110,14 +108,12 @@ def _validate_overlay(ov: MarkedOverlay):
     shadow = ov.shadow
     for v in range(shadow.n):
         blue = ov.darts_of_color(v, BLUE)
-        if len(blue) not in (0, 2, 4):
-            raise MalformedRoots(f"vertex {v} mixes colours {len(blue)}:{4-len(blue)}")
-    crossings = sum(1 for v in range(shadow.n)
-                    if ov.is_shared(v) and not ov.is_tangential(v))
-    if crossings % 2:
+        if len(blue) != 2:
+            raise MalformedRoots(f"vertex {v} has {len(blue)} blue darts, not 2")
+    tang = [v for v in range(shadow.n) if ov.is_tangential(v)]
+    if (shadow.n - len(tang)) % 2:
         raise InternalInvariantViolation(
             "odd number of transversal intersections violates curve parity")
-    tang = [v for v in range(shadow.n) if ov.is_shared(v) and ov.is_tangential(v)]
     if ov.kind == "odd":
         if len(tang) != 1 or ov.root not in tang:
             raise MalformedRoots("odd overlay needs exactly the root tangential")
@@ -321,17 +317,6 @@ def split_digon(overlay: MarkedOverlay, g: Digon):
     return child_ov, lift
 
 
-def _curve_edges(shadow: pm.Shadow, edge_id: int) -> frozenset:
-    """Edge ids on the same closed curve as the given edge."""
-    out = set()
-    d = edge_id
-    while True:
-        out.add(shadow.edge_id(d))
-        d = shadow.sigma(d)
-        if d == edge_id:
-            return frozenset(out)
-
-
 def _carried_mark(parent: pm.Shadow, ex: pm.Excision, mark):
     if mark is None:
         return None
@@ -383,8 +368,8 @@ def random_overlay(m: int, seed: int) -> MarkedOverlay:
             continue
         colors = [None] * (4 * child.n)
         a_color = ov.colors[a]
-        base = 4 * shadow.n
-        curve = _curve_edges(child, child.edge_id(base))
+        curve = {child.edge_id(d)
+                 for d in pm.straight_walk(child, 4 * shadow.n).darts}
         for ce in child.edges():
             col = a_color if ce in curve else (RED if a_color == BLUE else BLUE)
             colors[ce] = col

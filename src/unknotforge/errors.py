@@ -41,10 +41,6 @@ class CodecSyntaxError(ShadowError):
         self.column = column
 
 
-class ValidationError(ShadowError):
-    """Parsed text decodes to an object that fails structural validation."""
-
-
 class UnrealizableCode(ShadowError):
     """A Gauss code that admits no planar realization with the given signs."""
 

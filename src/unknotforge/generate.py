@@ -350,6 +350,8 @@ def generate_unknots(shadow: pm.Shadow, method: str = "auto") -> GenerationResul
     With a cycle decomposition of size p >= cbrt(n) the lift fan-out
     suffices; otherwise two primary cycles share at least 2*cbrt(n)
     vertices, and the digon route through the reduced subshadow applies.
+    ``auto`` takes that route; the bound is promised on it only, and a
+    shortfall there raises InternalInvariantViolation.
     """
     report = pm.component_report(shadow)
     if not report.is_knot_shadow:
@@ -361,18 +363,23 @@ def generate_unknots(shadow: pm.Shadow, method: str = "auto") -> GenerationResul
         return GenerationResult(shadow, "descending", diagrams,
                                 ((),) * len(diagrams), 0)
     dec = dc.greedy_cycle_decomposition(shadow)
+    theorem = "digons" if dec.size ** 3 < n else "cycles"
+    if method == "auto":
+        method = theorem
     if method == "cycles":
-        return gen_by_cycle_decomposition(shadow, dec, bound)
-    if method == "digons" or (method == "auto" and dec.size ** 3 < n):
+        result = gen_by_cycle_decomposition(shadow, dec, bound)
+    elif method == "digons":
         r, s, m = dc.find_shared_pair(dec)
-        if method == "auto" and m ** 3 < 8 * n:
+        if theorem == "digons" and m ** 3 < 8 * n:
             raise InternalInvariantViolation(
                 f"pigeonhole refuted: p={dec.size}, max shared m={m}, n={n}")
         pair = dc.reduce_to_subshadow(shadow, dec, r, s)
-        return gen_by_digons(shadow, pair, bound)
-    if method not in ("auto",):
+        result = gen_by_digons(shadow, pair, bound)
+    else:
         raise PreconditionViolated(f"unknown method {method!r}")
-    return gen_by_cycle_decomposition(shadow, dec, bound)
+    if method == theorem and not result.bound_satisfied:
+        raise InternalInvariantViolation("generated family misses the bound")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -490,20 +497,14 @@ def _trefoil_from_cycle(shadow, cyc, limit):
     v = pm.vertex_of(w_darts[v_idx])
     parts = (w_darts[:u_idx], w_darts[u_idx:v_idx], w_darts[v_idx:])
     for part in parts:
-        verts = [pm.vertex_of(d) for d in part]
-        first = {}
-        for k, z in enumerate(verts):
-            if z in first:
-                # a repeated vertex encloses a straight-ahead cycle avoiding
-                # the frame; quotient it away
-                sub = part[first[z]:k]
-                f_cyc = dc.StraightAheadCycle(z, tuple(sub))
-                dc.check_cycle(shadow, f_cyc)
-                if {r, u, v} & set(f_cyc.vertices()):
-                    raise InternalInvariantViolation(
-                        "inner cycle touches the frame vertices")
-                return _trefoil_over_quotient(shadow, f_cyc, limit)
-            first[z] = k
+        # a repeated vertex encloses a straight-ahead cycle avoiding the
+        # frame; quotient it away
+        f_cyc = dc.first_cycle(shadow, part)
+        if f_cyc is not None:
+            if {r, u, v} & set(f_cyc.vertices()):
+                raise InternalInvariantViolation(
+                    "inner cycle touches the frame vertices")
+            return _trefoil_over_quotient(shadow, f_cyc, limit)
     # all three walks are paths: the long way round goes on top and the
     # three frame crossings get searched for a trefoil prescription
     bits = [None] * shadow.n

@@ -52,12 +52,6 @@ def rotate(dart: int) -> int:
     return (dart & ~3) | ((dart + 1) & 3)
 
 
-def edge_of(dart: int, twin) -> int:
-    """Canonical edge id: the smaller of the two paired darts."""
-    t = twin[dart]
-    return dart if dart < t else t
-
-
 # ---------------------------------------------------------------------------
 # Shadow
 # ---------------------------------------------------------------------------
@@ -88,7 +82,9 @@ class Shadow:
         return [d for d in self.darts() if d < self.twin[d]]
 
     def edge_id(self, dart: int) -> int:
-        return edge_of(dart, self.twin)
+        """Canonical edge id: the smaller of the two paired darts."""
+        t = self.twin[dart]
+        return dart if dart < t else t
 
     def is_trivial(self) -> bool:
         return self.n == 0 and self.free_loops == 1
@@ -260,26 +256,20 @@ def validate_shadow(shadow: Shadow) -> ComponentReport:
     # Euler's formula per connected component (sphere embedding each).
     if shadow.n:
         fs = faces(shadow)
-        face_comp = {}
         comp_of_vertex = {}
         comps = graph_components(shadow)
         for i, comp in enumerate(comps):
             for v in comp:
                 comp_of_vertex[v] = i
-        v_count = [len(c) for c in comps]
-        e_count = [0] * len(comps)
         f_count = [0] * len(comps)
-        for d in range(nd):
-            if d < twin[d]:
-                e_count[comp_of_vertex[vertex_of(d)]] += 1
         for f in fs:
             f_count[comp_of_vertex[vertex_of(f[0])]] += 1
-        for i in range(len(comps)):
-            if v_count[i] - e_count[i] + f_count[i] != 2:
+        for i, comp in enumerate(comps):
+            # every component is 4-regular, so E = 2V and V-E+F = F-V
+            v = len(comp)
+            if f_count[i] - v != 2:
                 raise NonPlanar(
-                    f"component {i}: V-E+F = "
-                    f"{v_count[i]}-{e_count[i]}+{f_count[i]} != 2"
-                )
+                    f"component {i}: V-E+F = {v}-{2 * v}+{f_count[i]} != 2")
         if shadow.outer_face is None or not 0 <= shadow.outer_face < len(fs):
             raise MissingOuterFace(f"outer face id {shadow.outer_face} out of range")
     return component_report(shadow)
@@ -290,8 +280,9 @@ def build_shadow(twin_pairs, free_loops: int = 0, outer_face=None,
     """Assemble and validate a shadow from twin dart pairs.
 
     ``twin_pairs`` must cover every dart id 0..4n-1 exactly once with no dart
-    paired to itself.  With ``require_knot`` the curve structure must be a
-    single closed curve (or the trivial shadow), else NotAKnotShadow.
+    paired to itself; ``validate_shadow`` checks that.  With ``require_knot``
+    the curve structure must be a single closed curve (or the trivial
+    shadow), else NotAKnotShadow.
     """
     pairs = [tuple(p) for p in twin_pairs]
     darts = [d for p in pairs for d in p]
@@ -302,12 +293,8 @@ def build_shadow(twin_pairs, free_loops: int = 0, outer_face=None,
         if hi % 4 != 3:
             raise NotInvolution("dart ids must fill complete vertices of four")
         n = (hi + 1) // 4
-    if sorted(darts) != list(range(4 * n)):
-        raise NotInvolution("twin pairs must cover each dart id exactly once")
-    twin = [0] * (4 * n)
+    twin = [-1] * (4 * n)     # a dart left out stays out of range
     for a, b in pairs:
-        if a == b:
-            raise NotInvolution(f"dart {a} paired with itself")
         twin[a] = b
         twin[b] = a
     shadow = Shadow(n, tuple(twin), free_loops, 0 if outer_face is None else outer_face)
@@ -395,10 +382,6 @@ def decompose_at_vertex(shadow: Shadow, v: int):
 # Structural queries
 # ---------------------------------------------------------------------------
 
-def has_loop_at(shadow: Shadow, v: int) -> bool:
-    return any(vertex_of(shadow.twin[dart_at(v, s)]) == v for s in range(4))
-
-
 def is_cut_vertex(shadow: Shadow, v: int) -> bool:
     """Cut-vertex in the 1-separation sense.
 
@@ -407,8 +390,8 @@ def is_cut_vertex(shadow: Shadow, v: int) -> bool:
     """
     if not 0 <= v < shadow.n:
         raise PreconditionViolated(f"vertex {v} out of range")
-    if has_loop_at(shadow, v):
-        return True
+    if any(vertex_of(shadow.twin[dart_at(v, s)]) == v for s in range(4)):
+        return True             # a loop edge at v
     if shadow.n <= 1:
         return False
     start = 0 if v != 0 else 1
@@ -647,22 +630,6 @@ def insert_curl(shadow: Shadow, dart: int, flip: bool = False) -> Shadow:
     return out
 
 
-def curl_on_free_loop(shadow: Shadow) -> Shadow:
-    """Turn one free loop into the one-vertex shadow component."""
-    if shadow.free_loops < 1:
-        raise PreconditionViolated("no free loop to curl")
-    twin = list(shadow.twin)
-    base = 4 * shadow.n
-    twin.extend([0, 0, 0, 0])
-    twin[base + 0] = base + 1
-    twin[base + 1] = base + 0
-    twin[base + 2] = base + 3
-    twin[base + 3] = base + 2
-    out = Shadow(shadow.n + 1, tuple(twin), shadow.free_loops - 1, 0)
-    validate_shadow(out)
-    return out
-
-
 def _try_wirings(shadow, a, b, wirings, n_new, expect_curves):
     """Apply the first candidate twin rewiring that validates planar with the
     expected curve count.  Returns None when none fits."""
@@ -794,13 +761,13 @@ def standard_figure8() -> Shadow:
 def random_shadow(n: int, seed: int) -> Shadow:
     """Random knot shadow with ``n`` vertices, deterministic in ``seed``.
 
-    Grown from the trivial shadow by random curls, pokes, and crossing sums,
-    so planarity and single-curve structure hold by construction.
+    Grown from the one-vertex shadow by random curls, pokes, and crossing
+    sums, so planarity and single-curve structure hold by construction.
     """
     if n < 1:
         raise PreconditionViolated("random_shadow needs n >= 1")
     rng = random.Random(seed)
-    s = curl_on_free_loop(trivial())
+    s = one_vertex()
     while s.n < n:
         room = n - s.n
         moves = ["curl"]

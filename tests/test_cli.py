@@ -138,8 +138,8 @@ GENERATE_PINS = json.loads(
                          ids=lambda pin: f"{pin['name']}-{pin['method']}")
 def test_generate_json_output_is_pinned(run, tmp_path, pin):
     # stdout and exit code of `generate --format json`, recorded before the
-    # certificates became move logs; a forced route that misses the bound
-    # still prints its family and exits 2
+    # certificates became move logs; the bound is promised on the route
+    # that auto takes only, so a forced route that misses it exits 0
     code, out, _ = run(*pin["family"])
     assert code == 0
     p = tmp_path / "shadow.rot"
@@ -259,6 +259,20 @@ def test_bad_file_exit_code(run, tmp_path):
     p.write_text("shadow v=1 loops=0 outer=0\nv0: 0 1 2 3\n")
     code, _, err = run("validate", str(p))
     assert code == 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("v0: 0 1 2 3", "dart 0 paired with itself"),
+    ("v0: 4 1 2 3", "twin(0) = 4 out of range"),
+    ("v0: 1 2 3 0", "twin is not an involution at dart 0"),
+])
+def test_malformed_rotmap_names_the_involution_fault(run, tmp_path, line, message):
+    p = tmp_path / "bad.rot"
+    p.write_text(f"shadow v=1 loops=0 outer=0\n{line}\n")
+    code, out, _ = run("validate", str(p))
+    assert (code, out) == (1, f"invalid: NotInvolution: {message}\n")
+    code, out, err = run("census", str(p))
+    assert (code, out, err) == (1, "", f"error: NotInvolution: {message}\n")
 
 
 def test_missing_file(run):

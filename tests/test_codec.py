@@ -114,10 +114,57 @@ def test_diagram_to_shadow_format_needs_strip():
     d = iv.alternating_diagram(pm.standard_trefoil())
     with pytest.raises(UnsupportedConversion):
         cd.emit(d, "rotmap")
-    stripped = cd.emit(d, "rotmap", strip=True)
+    stripped = cd.emit(d.shadow, "rotmap")
     assert cd.parse(stripped, "rotmap") == d.shadow
-    gauss_shadow = cd.emit(d, "gauss", strip=True)
+    gauss_shadow = cd.emit(d.shadow, "gauss")
     assert "U" not in gauss_shadow and "L" not in gauss_shadow
+
+
+@pytest.mark.parametrize("fmt, text, line", [
+    ("rotmap", "", 1),
+    ("rotmap", "shadow v=x\n", 1),
+    ("rotmap", "shadow v=1 loops=0 outer=0\n", 2),
+    ("rotmap", "shadow v=1 loops=0 outer=0\nv1: 1 0 3 2\n", 2),
+    ("gauss", "", 1),
+    ("gauss", "+1 x", 1),
+    ("gauss", "+U1 +2 +L1 +2", 1),
+    ("gauss", "+1 -1", 1),
+    ("pd", "Y[1]", 1),
+    ("pd", "", 1),
+    ("pd", "X[1,2,3,4]", 1),
+    ("pd", "X[1,1,3,3]", 1),
+])
+def test_malformed_text_is_a_syntax_error_at_its_line(fmt, text, line):
+    with pytest.raises(CodecSyntaxError) as info:
+        cd.parse(text, fmt)
+    assert info.value.line == line
+
+
+def test_nonplanar_pd_rejected():
+    with pytest.raises(UnrealizableCode):
+        cd.parse("X[1,1,2,2] X[3,4,3,4]", "pd")
+
+
+def test_unknown_format_and_trivial_gauss_are_unsupported():
+    with pytest.raises(UnsupportedConversion):
+        cd.parse("+1 +1", "xml")
+    with pytest.raises(UnsupportedConversion):
+        cd.emit(pm.trivial(), "gauss")
+    with pytest.raises(UnsupportedConversion):
+        cd.emit(pm.standard_trefoil(), "xml")
+
+
+def test_pd_emits_every_assignment(corpus_shadow):
+    # every crossing has an incoming dart of each parity in every PD walk,
+    # so no assignment lacks an incoming underpass
+    s = corpus_shadow
+    if s.n == 0:
+        return
+    for d in iv.assignments(s):
+        text = cd.emit(d, "pd")
+        assert text.count("X[") == s.n
+        back = cd.parse(text, "pd")
+        assert pm.plane_map_equal(d.shadow, back.shadow, d.bits, back.bits)
 
 
 def test_pd_rejects_shadow_and_trivial():

@@ -31,6 +31,17 @@ def test_walk_that_is_already_a_cycle_returned_unchanged():
     assert again.darts == c.darts
 
 
+def test_first_cycle_none_without_a_repeated_vertex():
+    s = pm.cn(3)
+    walk = pm.eulerian_walk(s)
+    c = dc.first_cycle(s, walk.darts)
+    assert c == dc.find_straight_ahead_cycle(s, walk)
+    # the cycle itself is a path through three distinct vertices
+    assert len(set(c.vertices())) == 3
+    assert dc.first_cycle(s, c.darts) is None
+    assert dc.first_cycle(s, ()) is None
+
+
 def test_cycle_validation_rejects_gaps():
     s = pm.standard_trefoil()
     with pytest.raises(CycleNotStraightAhead):

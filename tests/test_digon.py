@@ -7,6 +7,7 @@ from unknotforge import digon as dg
 from unknotforge import planemap as pm
 from unknotforge.errors import (
     CyclesNotDistinct,
+    MalformedRoots,
     NoAvoidingDigon,
     NotADigon,
     PreconditionViolated,
@@ -64,7 +65,7 @@ def test_jordan_parity_on_random_overlays():
     for seed in range(25):
         ov = dg.random_overlay(2 + 2 * (seed % 5), seed)
         crossings = sum(1 for v in range(ov.shadow.n)
-                        if ov.is_shared(v) and not ov.is_tangential(v))
+                        if not ov.is_tangential(v))
         assert crossings % 2 == 0
 
 
@@ -167,6 +168,49 @@ def test_even_overlay_from_knot_shadow():
     assert ov.m == best[2]
     assert ov.blue_mark is not None and ov.red_mark is not None
     assert not any(ov.is_tangential(v) for v in range(ov.shadow.n))
+
+
+def _two_blue_vertices(ov):
+    return sum(1 for v in range(ov.shadow.n)
+               if len(ov.darts_of_color(v, dg.BLUE)) == 2)
+
+
+def _split_chain(ov):
+    chain = [ov]
+    while ov.m > (1 if ov.kind == "odd" else 0):
+        ov, _ = dg.split_digon(ov, dg.digon_avoiding(ov))
+        chain.append(ov)
+    return chain
+
+
+def test_every_overlay_vertex_is_shared():
+    # each curve is a cycle, so every overlay vertex is a blue-red
+    # crossing with two blue darts, and m is the vertex count
+    starts = [dg.random_overlay(2 + 2 * (seed % 5), seed) for seed in range(20)]
+    for n in (3, 5, 7, 9):
+        s, pair = cn_pair(n)
+        starts.append(dg.build_overlay(pair.subshadow, pair.blue, pair.red))
+    for s, method in ((pm.random_shadow(8, 908), None),
+                      (pm.random_shadow(8, 24), "digons"),
+                      (pm.random_shadow(9, 53), "digons"),
+                      (pm.random_shadow(16, 19), "digons")):
+        d = dc.greedy_cycle_decomposition(s)
+        r, t, _ = dc.find_shared_pair(d)
+        pair = dc.reduce_to_subshadow(s, d, r, t)
+        starts.append(dg.build_overlay(pair.subshadow, pair.blue, pair.red))
+    assert {ov.kind for ov in starts} == {"odd", "even"}
+    for start in starts:
+        for ov in _split_chain(start):
+            assert ov.m == ov.shadow.n == _two_blue_vertices(ov)
+
+
+@pytest.mark.parametrize("blue_darts", (0, 4))
+def test_validate_overlay_needs_two_blue_darts_at_every_vertex(blue_darts):
+    tc = dg.two_circle_overlay()
+    color = dg.BLUE if blue_darts else dg.RED
+    ov = dg.MarkedOverlay(tc.shadow, "even", (color,) * len(tc.colors))
+    with pytest.raises(MalformedRoots, match=f"{blue_darts} blue darts"):
+        dg._validate_overlay(ov)
 
 
 def test_random_overlay_precondition():

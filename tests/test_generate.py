@@ -343,6 +343,35 @@ def test_even_family_no_figure_eight(n):
 # larger-scale arithmetic examples
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("shadow, method", [
+    (pm.chorizo(4), "digons"),
+    (pm.standard_figure8(), "digons"),
+    (pm.cn(9), "cycles"),
+])
+def test_forced_route_off_the_theorem_may_miss_the_bound(shadow, method):
+    res = gn.generate_unknots(shadow, method=method)
+    assert not res.bound_satisfied
+    assert gn.replay_all(res)
+
+
+@pytest.mark.parametrize("shadow, builder, route", [
+    (pm.chorizo(4), "gen_by_cycle_decomposition", "cycles"),
+    (pm.cn(9), "gen_by_digons", "digons"),
+])
+def test_theorem_route_that_misses_the_bound_raises(monkeypatch, shadow, builder, route):
+    real = getattr(gn, builder)
+
+    def short(*args):
+        res = real(*args)
+        return dataclasses.replace(res, diagrams=res.diagrams[:1],
+                                   certificates=res.certificates[:1])
+
+    monkeypatch.setattr(gn, builder, short)
+    for method in ("auto", route):
+        with pytest.raises(InternalInvariantViolation, match="misses the bound"):
+            gn.generate_unknots(shadow, method=method)
+
+
 def test_pigeonhole_on_27_vertex_ring():
     s = pm.cn(27)
     dec = dc.greedy_cycle_decomposition(s)

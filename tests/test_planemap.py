@@ -94,6 +94,11 @@ def test_build_rejects_incomplete_cover():
         pm.build_shadow([(0, 1)])
 
 
+def test_build_rejects_a_dart_left_out():
+    with pytest.raises(NotInvolution, match="out of range"):
+        pm.build_shadow([(0, 1), (2, 7), (4, 5)])
+
+
 def test_corpus_structure(corpus_shadow):
     s = corpus_shadow
     report = pm.validate_shadow(s)
