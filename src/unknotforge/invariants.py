@@ -24,6 +24,7 @@ from .errors import (
     NonPlanar,
     NotInvolution,
     PreconditionViolated,
+    ShadowError,
 )
 
 DEFAULT_LIMIT = 20
@@ -258,25 +259,123 @@ def normalized_poly(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPoly
 # Move-based simplification
 # ---------------------------------------------------------------------------
 
+class _Unknown(Exception):
+    """A move test read a bit that is not set; ``args[0]`` is its vertex."""
+
+
 class _Mut:
-    """Mutable diagram state for in-place move application.  A vertex is
-    live while its darts are paired: removal sets them to -1."""
+    """Mutable diagram state of one greedy simplifier run.  A vertex is
+    live while its darts are paired: removal sets them to -1.
 
-    __slots__ = ("twin", "bits", "free_loops")
+    ``bits[v]`` may be None (unknown); a move test that reads it raises
+    ``_Unknown`` before it changes anything.  Beside the diagram the state
+    holds the run's position, the heap of queued vertices (``work`` and
+    ``queued``), and the move log.  ``shapes``, when not None, memoizes the
+    bit-free half of the type-A test on the twin table; ``row`` is the
+    entry of the current twin.
+    """
 
-    def __init__(self, diagram: Diagram):
+    __slots__ = ("twin", "bits", "free_loops", "work", "queued", "moves",
+                 "shapes", "row")
+
+    def __init__(self, diagram: Diagram, shapes=None):
+        n = diagram.n
         self.twin = list(diagram.shadow.twin)
         self.bits = list(diagram.bits)
         self.free_loops = diagram.shadow.free_loops
+        self.work = list(range(n))      # a min-heap, each vertex at most once
+        self.queued = [True] * n
+        self.moves = []
+        self.shapes = shapes
+        self.row = None
+
+    def fork(self, v, bit):
+        """A copy of the state with bit ``v`` set to ``bit``."""
+        new = _Mut.__new__(_Mut)
+        new.twin = self.twin[:]
+        new.bits = self.bits[:]
+        new.bits[v] = bit
+        new.free_loops = self.free_loops
+        new.work = self.work[:]
+        new.queued = self.queued[:]
+        new.moves = self.moves[:]
+        new.shapes = self.shapes
+        new.row = self.row
+        return new
 
     def over_dart(self, d):
-        return (d & 1) == self.bits[d >> 2]
+        b = self.bits[d >> 2]
+        if b is None:
+            raise _Unknown(d >> 2)
+        return (d & 1) == b
 
     def excise(self, through, deleted=()):
         """Remove the vertices named in ``through`` by ``planemap.splice``;
         new closed curves on them become free loops."""
         _, loops = pm.splice(self.twin, through, deleted)
         self.free_loops += len(loops)
+
+    def type_a_walks(self, v):
+        """``_type_a_walks`` of the current twin table, from ``shapes``."""
+        if self.shapes is None:
+            return _type_a_walks(self.twin, v)
+        row = self.row
+        if row is None:
+            key = tuple(self.twin)
+            row = self.shapes.get(key)
+            if row is None:
+                row = [None] * len(self.queued)
+                if len(self.shapes) < _MEMO_CAP:
+                    self.shapes[key] = row
+            self.row = row
+        walks = row[v]
+        if walks is None:
+            walks = row[v] = _type_a_walks(self.twin, v)
+        return walks
+
+    def run(self):
+        """Apply greedy moves until none applies: curl and bigon removals
+        from the heap, lowest vertex first; when it is empty, the first
+        type-A collapse of a scan in vertex order, which queues every live
+        vertex again.
+
+        Returns None when done, or the vertex of an unknown bit that a move
+        test read; the test changed nothing, and the next call retries it.
+        A scan that stopped starts again from vertex 0: the vertices before
+        the stop had no collapse, and setting a bit gives them none.
+        """
+        twin, work, queued = self.twin, self.work, self.queued
+        n = len(queued)
+        try:
+            while True:
+                while work:
+                    v = work[0]
+                    hit = twin[4 * v] >= 0 and (_try_r1(self, v)
+                                                or _try_r2(self, v))
+                    heapq.heappop(work)
+                    queued[v] = False
+                    if hit:
+                        move, neighbours = hit
+                        self.moves.append(move)
+                        self.row = None
+                        for u in neighbours:
+                            if twin[4 * u] >= 0 and not queued[u]:
+                                queued[u] = True
+                                heapq.heappush(work, u)
+                for v in range(n):
+                    if twin[4 * v] >= 0:
+                        hit = _try_type_a(self, v)
+                        if hit:
+                            break
+                else:
+                    return None
+                self.moves.append(hit[0])
+                self.row = None
+                work[:] = [u for u in range(n) if twin[4 * u] >= 0]
+                for u in work:
+                    queued[u] = True
+        except _Unknown as e:
+            return e.args[0]
 
     def to_diagram(self):
         twin, order = pm.renumber(self.twin)
@@ -351,22 +450,44 @@ def _try_r2(state: _Mut, v):
     return None
 
 
-def _try_type_a(state: _Mut, v):
-    walks = pm.walks_at(state.twin, v)
+def _type_a_walks(twin, v):
+    """The bit-free half of the type-A test at ``v``: of the two walks from
+    a self-crossing back to it, those with at least two edges and distinct
+    interior vertices other than ``v``, each with its interior."""
+    walks = pm.walks_at(twin, v)
     if len(walks) != 2:
-        return None             # v is not a self-crossing of its curve
+        return ()               # v is not a self-crossing of its curve
+    out = []
     for walk in walks:
         if len(walk) < 2:
             continue            # single loop edge: that is an R1 move
-        interior = [d >> 2 for d in walk[1:]]
-        if len(set(interior)) != len(interior) or v in interior:
-            continue
-        overs = {state.over_dart(d) for d in walk[1:]}
-        if len(overs) != 1:
-            continue
-        side = pm.OVER if overs.pop() else pm.UNDER
-        state.excise(pm.cycle_through(state.twin, walk), walk)
-        return ("ta", v, side, tuple(interior)), set()
+        interior = tuple(d >> 2 for d in walk[1:])
+        if len(set(interior)) == len(interior) and v not in interior:
+            out.append((walk, interior))
+    return out
+
+
+def _try_type_a(state: _Mut, v):
+    """Collapse a walk from ``v`` whose strand passes over (or under) every
+    crossing inside it.  A walk with a known crossing of each kind is
+    passed over before any unknown bit on it is read."""
+    bits = state.bits
+    for walk, interior in state.type_a_walks(v):
+        over = unknown = None
+        for d in walk[1:]:
+            b = bits[d >> 2]
+            if b is None:
+                unknown = d >> 2
+            elif over is None:
+                over = (d & 1) == b
+            elif over != ((d & 1) == b):
+                break
+        else:
+            if unknown is not None:
+                raise _Unknown(unknown)
+            side = pm.OVER if over else pm.UNDER
+            state.excise(pm.cycle_through(state.twin, walk), walk)
+            return ("ta", v, side, interior), set()
     return None
 
 
@@ -380,42 +501,10 @@ def simplify(diagram: Diagram, riii_depth: int = 0):
     the greedy moves stall.
     """
     state = _Mut(diagram)
-    twin = state.twin
-    n = diagram.n
-    moves = []
-    # a min-heap of the queued vertices, each at most once
-    work = list(range(n))
-    queued = [True] * n
-    while True:
-        progress = False
-        while work:
-            v = heapq.heappop(work)
-            queued[v] = False
-            if twin[4 * v] < 0:
-                continue
-            hit = _try_r1(state, v) or _try_r2(state, v)
-            if hit:
-                move, neighbours = hit
-                moves.append(move)
-                for u in neighbours:
-                    if twin[4 * u] >= 0 and not queued[u]:
-                        queued[u] = True
-                        heapq.heappush(work, u)
-                progress = True
-        for v in range(n):
-            if twin[4 * v] >= 0:
-                hit = _try_type_a(state, v)
-                if hit:
-                    move, _ = hit
-                    moves.append(move)
-                    work = [u for u in range(n) if twin[4 * u] >= 0]
-                    for u in work:
-                        queued[u] = True
-                    progress = True
-                    break
-        if not progress:
-            break
+    if state.run() is not None:
+        raise PreconditionViolated("simplify needs every bit set")
     out, _ = state.to_diagram()
+    moves = state.moves
     if out.n and riii_depth > 0:
         slid = _riii_search(out, riii_depth)
         if slid is not None and slid.n < out.n:
@@ -619,13 +708,15 @@ class _ShadowRecord:
         key = (bits, limit, riii_depth)
         cls = self.verdicts.get(key)
         if cls is None:
-            cls = self._classify(Diagram(self.quotient, bits), limit, riii_depth)
+            reduced, _ = simplify(Diagram(self.quotient, bits), riii_depth)
+            cls = self.residue_class(reduced, limit)
             if len(self.verdicts) < _MEMO_CAP:
                 self.verdicts[key] = cls
         return cls
 
-    def _classify(self, diagram, limit, riii_depth):
-        reduced, _ = simplify(diagram, riii_depth)
+    def residue_class(self, reduced: Diagram, limit: int) -> KnotClass:
+        """The class of a diagram the simplifier leaves: the unknot when it
+        has no crossings, else by its polynomial, memoized."""
         if reduced.n == 0:
             if reduced.shadow.free_loops != 1:
                 raise PreconditionViolated(
@@ -680,14 +771,53 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
 
 
 def _census_chunk(args):
-    shadow, start, stop, limit = args
+    """Census counts of the quotient assignments whose ``p`` highest bits
+    read ``prefix``.
+
+    One greedy simplifier run starts with the other bits unknown and forks
+    in two, depth first, where a move test reads an unknown bit, so the
+    assignments share every move made before their bits differ.  A run
+    that ends stands for all its unread bits: each unread bit of a removed
+    vertex doubles its weight, and the unread bits of live vertices are
+    enumerated on the reduced diagram, classified by ``residue_class``.  A
+    diagram that is no knot raises for the least assignment that shows it,
+    as enumeration in bit-vector order would.
+    """
+    shadow, prefix, p, limit = args
     rec = _shadow_record(shadow)
     q = len(rec.keep)
+    bits = [None] * q
+    for i in range(p):
+        bits[q - p + i] = (prefix >> i) & 1
     weight = 1 << (shadow.n - q)
     counts = {}
-    for k in range(start, stop):
-        c = rec.verdict(tuple((k >> i) & 1 for i in range(q)), limit, 0)
-        counts[c] = counts.get(c, 0) + weight
+    failures = []
+    stack = [_Mut(Diagram(rec.quotient, tuple(bits)), shapes={})]
+    while stack:
+        state = stack.pop()
+        u = state.run()
+        while u is not None:
+            stack.append(state.fork(u, 1))
+            state.bits[u] = 0
+            u = state.run()
+        reduced, order = state.to_diagram()
+        free = [i for i, b in enumerate(reduced.bits) if b is None]
+        w = weight << (state.bits.count(None) - len(free))
+        leaf_bits = list(reduced.bits)
+        for k in range(1 << len(free)):
+            for j, i in enumerate(free):
+                leaf_bits[i] = (k >> j) & 1
+            try:
+                cls = rec.residue_class(Diagram(reduced.shadow, tuple(leaf_bits)),
+                                        limit)
+            except ShadowError as e:
+                least = sum(1 << v for v, b in enumerate(state.bits) if b)
+                least += sum(1 << order[i] for i in free if leaf_bits[i])
+                failures.append((least, e))
+                continue
+            counts[cls] = counts.get(cls, 0) + w
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     return counts
 
 
@@ -697,22 +827,24 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1):
 
     Only the 2^q assignments of the curl quotient's q vertices are
     classified, each standing for the 2^(n - q) diagrams that differ from
-    it at curls only.
+    it at curls only, and they are classified by one walk of the greedy
+    simplifier over a tree of partial assignments (``_census_chunk``).  A
+    process pool splits the tree at its highest quotient bits.
     """
     n = shadow.n
     if n > limit:
         raise LimitExceeded(f"census needs n <= {limit}, got {n}")
     if threads < 0:
         raise PreconditionViolated(f"census needs threads >= 0, got {threads}")
-    total = 1 << len(_shadow_record(shadow).keep)
+    q = len(_shadow_record(shadow).keep)
+    total = 1 << q
     if threads == 0:
         threads = min(os.cpu_count() or 1, 8)
     threads = max(1, min(threads, total))
     if threads == 1 or total < 256:
-        return _census_chunk((shadow, 0, total, limit))
-    chunk = (total + 4 * threads - 1) // (4 * threads)
-    jobs = [(shadow, lo, min(lo + chunk, total), limit)
-            for lo in range(0, total, chunk)]
+        return _census_chunk((shadow, 0, 0, limit))
+    p = min((4 * threads - 1).bit_length(), q)
+    jobs = [(shadow, prefix, p, limit) for prefix in range(1 << p)]
     counts = {}
     with ProcessPoolExecutor(max_workers=threads) as pool:
         for part in pool.map(_census_chunk, jobs):

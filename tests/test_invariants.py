@@ -1,5 +1,7 @@
 """Bracket, writhe, normalized polynomial, simplify, classify, census."""
 
+import importlib.util
+import itertools
 import json
 import os
 import pathlib
@@ -10,6 +12,7 @@ import sys
 import pytest
 
 from conftest import CORPUS, doubled_ring_link
+from unknotforge import codec as cd
 from unknotforge import invariants as iv
 from unknotforge import planemap as pm
 from unknotforge.errors import LimitExceeded, PreconditionViolated
@@ -484,6 +487,38 @@ def test_census_matches_classify_over_all_assignments(threads):
 
 
 @pytest.mark.parametrize("threads", (1, 2))
+def test_census_matches_classify_on_curl_free_shadows(threads):
+    # the curl quotient is the whole shadow, so the census walk does all the
+    # work; 2^9 and 2^8 assignments, so two threads run a process pool
+    f8 = pm.standard_figure8()
+    shadows = [pm.cn(9), pm.connected_sum(f8, f8)]
+    assert not any(map(_has_curl, shadows))
+    for s in shadows:
+        brute = {}
+        for d in iv.assignments(s):
+            name = iv.classify(d).name
+            brute[name] = brute.get(name, 0) + 1
+        named = {c.name: k for c, k in iv.census(s, threads=threads).items()}
+        assert named == brute, s
+
+
+EXPECTED_CENSUS_PATH = (pathlib.Path(__file__).parents[1] / "perfbench"
+                        / "expected_census.json")
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_census_matches_the_benchmark_pin(threads):
+    # {shadow name: {class name: count}}, the benchmark's census pin
+    pins = json.loads(EXPECTED_CENSUS_PATH.read_text())
+    f8 = pm.standard_figure8()
+    for name, s in (("cn11", pm.cn(11)),
+                    ("fig8#fig8#fig8",
+                     pm.connected_sum(pm.connected_sum(f8, f8), f8))):
+        named = {c.name: k for c, k in iv.census(s, threads=threads).items()}
+        assert named == pins[name], name
+
+
+@pytest.mark.parametrize("threads", (1, 2))
 def test_census_keeps_presumed_unknots_apart(threads):
     # (8, 16) has a 6-vertex curl quotient, so it is classified in one chunk;
     # (10, 16) has an 8-vertex one, so two threads run a process pool
@@ -538,7 +573,74 @@ def test_memo_keys_give_fresh_verdicts():
 
 def test_memos_stop_growing_at_the_cap():
     s = pm.cn(13)
-    iv.census(s)
+    for d in itertools.islice(iv.assignments(s), iv._MEMO_CAP + 64):
+        iv.classify(d)
     rec = iv._shadow_record(s)
     assert len(rec.verdicts) == iv._MEMO_CAP < 1 << s.n
     assert 0 < len(rec.residues) <= iv._MEMO_CAP
+
+
+# ---------------------------------------------------------------------------
+# the resumable simplifier run
+# ---------------------------------------------------------------------------
+
+def _load_braid():
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "braid.py"
+    spec = importlib.util.spec_from_file_location("perfbench_braid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runner_shadows():
+    """The corpus, random shadows and closed 3-braids."""
+    braid = _load_braid()
+    rng = random.Random(43)
+    out = [s for _, s in CORPUS if s.n]
+    out += [pm.random_shadow(n, seed) for n in range(3, 15) for seed in (5, 6)]
+    for length in (4, 6, 8, 10, 12, 14, 16):
+        word = braid.random_knot_word(rng, 3, length)
+        out.append(cd.parse(braid.braid_pd(word, 3), "pd").shadow)
+    return out
+
+
+def _run_state(state):
+    return (list(state.twin), list(state.bits), state.free_loops,
+            list(state.work), list(state.queued), list(state.moves))
+
+
+def _finish(state, full):
+    """Set the unknown bits of ``state`` from ``full`` and run it out."""
+    bits = [full[v] if b is None else b for v, b in enumerate(state.bits)]
+    state.bits[:] = bits
+    assert state.run() is None
+    return (state.to_diagram()[0], state.moves), tuple(bits)
+
+
+def test_runner_stops_only_on_unknown_bits_and_forks_exactly():
+    rng = random.Random(47)
+    stops = 0
+    for s in _runner_shadows():
+        for trial in range(6):
+            full = [rng.randrange(2) for _ in range(s.n)]
+            bits = [None if rng.random() < 0.6 else b for b in full]
+            shapes = {} if trial % 2 else None
+            state = iv._Mut(iv.Diagram(s, tuple(bits)), shapes)
+            while True:
+                u = state.run()
+                if u is None:
+                    break
+                stops += 1
+                assert state.bits[u] is None
+                # the stopping test changed nothing: a second run stops at once
+                before = _run_state(state)
+                assert state.run() == u
+                assert _run_state(state) == before
+                for bit in (0, 1):
+                    got, assignment = _finish(state.fork(u, bit), full)
+                    assert assignment[u] == bit
+                    assert got == iv.simplify(iv.Diagram(s, assignment)), (s, bits)
+                state.bits[u] = rng.randrange(2)
+            got, assignment = _finish(state, full)
+            assert got == iv.simplify(iv.Diagram(s, assignment)), (s, bits)
+    assert stops > 200
