@@ -80,8 +80,8 @@ def _print_census(shadow, census, args, runtime_ms):
     else:
         named = cd.census_to_names(census)
         total = sum(named.values())
-        for name in sorted(named):
-            print(f"{name},{named[name]}")
+        for name, count in named.items():
+            print(f"{name},{count}")
         print(f"total,{total}")
         print(f"unknot_fraction,{iv.unknot_count(census)}/{total}")
 
@@ -123,8 +123,7 @@ def cmd_generate(args):
     payload["replay_ok"] = gn.replay_all(result)
     payload["runtime_ms"] = ms if args.timing else 0
     if args.dump_decomposition:
-        payload["decomposition"] = dc.decomposition_report(
-            dc.greedy_cycle_decomposition(shadow))
+        payload["decomposition"] = dc.decomposition_report(result.decomposition)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

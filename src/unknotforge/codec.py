@@ -362,24 +362,23 @@ def detect_format(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 def census_to_names(census: dict) -> dict:
-    return {cls.name: count for cls, count in census.items()}
+    """Counts by class name, in name order (not the census's visiting order)."""
+    return dict(sorted((cls.name, count) for cls, count in census.items()))
 
 
 def census_csv(census: dict) -> str:
-    named = census_to_names(census)
     lines = ["class,count"]
-    for name in sorted(named):
-        lines.append(f"{name},{named[name]}")
+    for name, count in census_to_names(census).items():
+        lines.append(f"{name},{count}")
     return "\n".join(lines) + "\n"
 
 
 def census_report_json(shadow: pm.Shadow, census: dict, runtime_ms=0) -> str:
     """The census as JSON; ``unknot_count`` includes presumed unknots."""
-    named = census_to_names(census)
     payload = {
         "shadow": _emit_rotmap(shadow),
         "n": shadow.n,
-        "census": {k: named[k] for k in sorted(named)},
+        "census": census_to_names(census),
         "unknot_count": iv.unknot_count(census),
         "generated_count": None,
         "method": None,

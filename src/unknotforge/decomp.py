@@ -111,7 +111,7 @@ def enumerate_straight_ahead_cycles(shadow: pm.Shadow):
 
 @dataclass(frozen=True)
 class QuotientStep:
-    """One quotient: the parent shadow, the removed cycle, and lift data.
+    """One quotient: the parent shadow, the removed cycle, and the child.
 
     ``c_slots`` records, per removed vertex, which slot darts carried the
     cycle; ``child_to_parent`` maps surviving vertices up.  ``edge_paths``
@@ -126,10 +126,6 @@ class QuotientStep:
     c_slots: dict               # removed parent vertex -> its two cycle darts
     edge_paths: dict            # child edge id -> parent dart path
     loop_paths: tuple
-
-    def cycle_parity(self, v: int) -> int:
-        """Strand parity of the cycle's pass through a removed non-root vertex."""
-        return self.c_slots[v][0] & 1
 
 
 def quotient(shadow: pm.Shadow, cyc: StraightAheadCycle) -> QuotientStep:

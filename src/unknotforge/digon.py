@@ -9,9 +9,7 @@ marked edge midpoints (even number of common vertices, all transversal).
 
 A digon is a blue edge and a red edge with the same two endpoints, both
 transversal crossings.  Splitting a digon removes its two endpoints by the
-crossing-clearing smoothing, swapping the colours of the two merged arcs;
-any assignment of the smaller overlay lifts to exactly two assignments of
-the larger one (the digon strand fully over in blue, or fully in red).
+crossing-clearing smoothing, swapping the colours of the two merged arcs.
 """
 
 from __future__ import annotations
@@ -89,19 +87,6 @@ class Digon:
     red_edge: int
     u: int
     v: int
-
-
-@dataclass(frozen=True)
-class SplitLift:
-    """How assignments of the split overlay lift back across one split.
-
-    Bits at the removed endpoints make the blue strand the overpass at both,
-    or the red strand; every other vertex copies through ``child_to_parent``.
-    """
-
-    blue_over_bits: dict
-    red_over_bits: dict
-    child_to_parent: tuple
 
 
 def _validate_overlay(ov: MarkedOverlay):
@@ -249,8 +234,8 @@ def digon_avoiding(overlay: MarkedOverlay) -> Digon:
 def split_digon(overlay: MarkedOverlay, g: Digon):
     """Clear the digon's two crossings; colours swap across the merged arcs.
 
-    Returns the smaller overlay and the lift descriptor mapping each child
-    assignment to its two parent extensions.
+    Returns the smaller overlay and, per child vertex, the parent vertex it
+    came from.
     """
     shadow = overlay.shadow
     if g not in digons(overlay):
@@ -273,15 +258,6 @@ def split_digon(overlay: MarkedOverlay, g: Digon):
         through[e_end] = red_other
     ex = pm.excise(shadow, through)
     child = ex.child
-
-    # parent bits making blue (red) the overpass at both endpoints
-    blue_over = {}
-    red_over = {}
-    for w in (g.u, g.v):
-        bp = overlay.blue_parity(w)
-        blue_over[w] = bp
-        red_over[w] = bp ^ 1
-    lift = SplitLift(blue_over, red_over, ex.old_vertex)
 
     if child.n == 0:
         child_colors = ()
@@ -314,7 +290,7 @@ def split_digon(overlay: MarkedOverlay, g: Digon):
         _validate_overlay(child_ov)
         if overlay.kind == "odd" and child_ov.root is None:
             raise InternalInvariantViolation("split removed the root")
-    return child_ov, lift
+    return child_ov, ex.old_vertex
 
 
 def _carried_mark(parent: pm.Shadow, ex: pm.Excision, mark):

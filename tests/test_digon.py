@@ -82,9 +82,10 @@ def test_split_decreases_m_by_two_and_keeps_marks():
         while ov.m:
             g = dg.digon_avoiding(ov)
             assert g.blue_edge != ov.blue_mark and g.red_edge != ov.red_mark
-            child, lift = dg.split_digon(ov, g)
+            child, child_to_parent = dg.split_digon(ov, g)
             assert child.m == ov.m - 2
-            assert set(lift.blue_over_bits) == {g.u, g.v}
+            assert len(child_to_parent) == child.m
+            assert set(range(ov.m)) - set(child_to_parent) == {g.u, g.v}
             if child.m:
                 assert child.blue_mark is not None
                 assert child.red_mark is not None
@@ -95,10 +96,11 @@ def test_split_decreases_m_by_two_and_keeps_marks():
 def test_split_lift_bits_select_a_side():
     ov = dg.two_circle_overlay()
     g = dg.digons(ov)[0]
-    child, lift = dg.split_digon(ov, g)
-    assert set(lift.blue_over_bits) == {g.u, g.v}
-    for v in (g.u, g.v):
-        assert lift.blue_over_bits[v] == lift.red_over_bits[v] ^ 1
+    # the child keeps every parent vertex but the digon's endpoints; which
+    # bits those take is decided by the generator's split moves
+    child, child_to_parent = dg.split_digon(ov, g)
+    assert len(child_to_parent) == child.m == 0
+    assert set(range(ov.m)) - set(child_to_parent) == {g.u, g.v}
 
 
 def test_split_rejects_non_digon():

@@ -5,11 +5,13 @@ import dataclasses
 import pytest
 
 from unknotforge import decomp as dc
+from unknotforge import digon as dg
 from unknotforge import generate as gn
 from unknotforge import invariants as iv
 from unknotforge import planemap as pm
 from unknotforge.errors import (
     InternalInvariantViolation,
+    LimitExceeded,
     SideIrrelevantForSingletonCycle,
 )
 
@@ -161,6 +163,26 @@ def _even_digon_result():
     assert best is not None
     pair = dc.reduce_to_subshadow(s, d, best[0], best[1])
     return gn.gen_by_digons(s, pair), best[2]
+
+
+def test_split_moves_want_the_blue_pass_or_its_complement():
+    s = pm.cn(9)
+    pair = dc.reduce_to_subshadow(s, dc.greedy_cycle_decomposition(s), 0, 1)
+    odd = dg.build_overlay(pair.subshadow, pair.blue, pair.red)
+    for ov, stop_m in [(odd, 1)] + [(dg.random_overlay(8, seed), 0)
+                                    for seed in range(5)]:
+        moves, base = gn._split_moves(ov, stop_m)
+        assert len(moves) == (ov.m - stop_m) // 2 and base.m == stop_m
+        cur = ov
+        for blue, red in moves:
+            g = dg.digon_avoiding(cur)
+            assert blue.want == tuple((w, cur.blue_parity(w)) for w in (g.u, g.v))
+            assert red.want == tuple((w, b ^ 1) for w, b in blue.want)
+            cur, child_to_parent = dg.split_digon(cur, g)
+            for move in (blue, red):
+                assert move.child == cur.shadow
+                assert move.child_to_parent == child_to_parent
+                assert move.bigon == {g.blue_edge, g.red_edge}
 
 
 def test_digon_generation_even():
@@ -337,6 +359,21 @@ def test_even_family_no_figure_eight(n):
     assert rep["figure_eight_count"] == 0
     assert rep["rii_verified"] == rep["non_alternating"]
     assert rep["ring_verified"] == rep["non_alternating"]
+
+
+def test_even_family_counts_are_the_classify_counts():
+    rep = gn.verify_even_family(5)
+    counts = {}
+    for diagram in iv.assignments(pm.cn(5)):
+        cls = iv.classify(diagram)
+        counts[cls] = counts.get(cls, 0) + 1
+    assert rep["census"] == counts
+    assert rep["non_alternating"] == 30
+
+
+def test_even_family_census_limit():
+    with pytest.raises(LimitExceeded):
+        gn.verify_even_family(iv.DEFAULT_LIMIT + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -415,6 +415,36 @@ def test_census_rejects_a_negative_thread_count():
         iv.census(pm.cn(3), threads=-4)
 
 
+@pytest.mark.parametrize("cpus", (2, 1000))
+def test_census_caps_workers_at_cpus_and_jobs(monkeypatch, cpus):
+    # a fake pool records its size and maps in-process, so no worker is
+    # ever started; cn(9) has 2^9 quotient assignments, split into 2^p jobs
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            sizes.append(len(jobs))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(iv, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    s = pm.cn(9)
+    assert iv.census(s, threads=1000) == iv.census(s, threads=1)
+    workers, jobs = sizes
+    assert workers == min(cpus, jobs)
+    assert jobs == (8 if cpus == 2 else 512)
+
+
 def test_census_limit():
     with pytest.raises(LimitExceeded):
         iv.census(pm.random_shadow(6, 1), limit=4)
