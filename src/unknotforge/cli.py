@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except ShadowError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError) as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

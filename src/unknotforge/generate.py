@@ -11,7 +11,7 @@ diagram the simplifier clears, independently of the polynomial oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import decomp as dc
 from . import digon as dg
@@ -163,6 +163,7 @@ class GenerationResult:
     certificates: tuple
     bound: int
     decomposition: dc.CycleDecomposition | None = None
+    replayed: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -398,44 +399,38 @@ def _simplifies_to_trivial(diagram: iv.Diagram) -> bool:
 
 
 def replay_certificate(result: GenerationResult, index: int) -> bool:
-    """Apply the diagram's recorded moves, outermost first; the construction
-    holds when no crossings are left or the simplifier clears the rest."""
-    cur = result.diagrams[index]
-    for move in result.certificates[index]:
-        cur = move.apply(cur)
-    return _simplifies_to_trivial(cur)
+    """Apply the output's recorded moves, outermost first; the construction
+    holds when no crossings are left or the simplifier clears the rest.
+    False when a move's check or the end rule fails.  A replay stops early
+    at a (remaining moves, shadow, bits) suffix that an earlier replay of
+    this result took to the end rule; ``result.replayed`` holds those, and
+    a ``replace`` copy starts with none.  The first move always applies.
+    """
+    cur, cert = result.diagrams[index], result.certificates[index]
+    done = result.replayed
+    ids = tuple(map(id, cert))
+    path = []
+    try:
+        for k, move in enumerate(cert):
+            if k:
+                key = (ids[k:], id(cur.shadow), cur.bits)
+                if key in done:
+                    break
+                path.append(key)
+            cur = move.apply(cur)
+        else:
+            if not _simplifies_to_trivial(cur):
+                return False
+    except InternalInvariantViolation:
+        return False
+    done.update(path)
+    return True
 
 
 def replay_all(result: GenerationResult) -> bool:
-    """Does every output replay as in ``replay_certificate``?  False at the
-    first output whose moves fail a check or whose end rule fails.
-
-    Outputs share certificate suffixes: the rest of a replay depends only
-    on the moves still to come and the diagram they start from, so once
-    one output has replayed to the end rule from some move onward, another
-    output reaching the same remaining moves with the same diagram is done.
-    An output's own bits always meet its first move's checks, since no
-    other output brings them.
-    """
-    done = set()
-    for cur, cert in zip(result.diagrams, result.certificates):
-        ids = tuple(map(id, cert))
-        path = []
-        try:
-            for k, move in enumerate(cert):
-                if k:
-                    key = (ids[k:], id(cur.shadow), cur.bits)
-                    if key in done:
-                        break
-                    path.append(key)
-                cur = move.apply(cur)
-            else:
-                if not _simplifies_to_trivial(cur):
-                    return False
-        except InternalInvariantViolation:
-            return False
-        done.update(path)
-    return True
+    """Does every output replay?  False at the first that does not.  Each is
+    a call of the module attribute ``replay_certificate``, which tracers wrap."""
+    return all(replay_certificate(result, i) for i in range(result.count))
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,15 @@ def test_directory_input_exit_code(run, tmp_path):
     assert out == "" and err.startswith("error: ")
 
 
+def test_unopenable_path_exit_code(run):
+    # a file name longer than the file system allows fails to open with an
+    # OSError that is neither FileNotFoundError nor IsADirectoryError
+    code, out, err = run("validate", "x" * 5000)
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_non_utf8_input_exit_code(run, tmp_path):
     p = tmp_path / "latin1.rot"
     p.write_bytes(b"shadow v=0 loops=1 outer=0 \xe9\n")

@@ -232,11 +232,7 @@ def test_replay_rejects_flipped_bits(route, rejected, flips):
             tampered = dataclasses.replace(
                 res, diagrams=res.diagrams[:i] + (flipped,) + res.diagrams[i + 1:])
             total += 1
-            try:
-                ok = gn.replay_certificate(tampered, i)
-            except InternalInvariantViolation:
-                ok = False
-            if ok:
+            if gn.replay_certificate(tampered, i):
                 accepted.append((v, flipped.bits))
     assert (total - len(accepted), total) == (rejected, flips)
     # the odd route's base vertex is free: both its values are members
@@ -244,18 +240,12 @@ def test_replay_rejects_flipped_bits(route, rejected, flips):
     assert all(bits in family for _, bits in accepted)
 
 
-def _replays(result, i):
-    try:
-        return gn.replay_certificate(result, i)
-    except InternalInvariantViolation:
-        return False
+def _replays_alone(result, i):
+    """Output i replayed anew, on a copy with an empty memo."""
+    return gn.replay_certificate(dataclasses.replace(result), i)
 
 
-@pytest.mark.parametrize("route", ("cycles", "digons-odd", "digons-even"))
-def test_replay_all_checks_every_output(route):
-    # replay_all shares certificate suffixes between outputs; one non-first
-    # output with one bit flipped must still decide it, exactly as the
-    # outputs replayed one by one do
+def _route_result(route):
     if route == "cycles":
         res = gn.generate_unknots(pm.random_shadow(9, 5), method="cycles")
     elif route == "digons-odd":
@@ -263,21 +253,91 @@ def test_replay_all_checks_every_output(route):
     else:
         res, _ = _even_digon_result()
     assert res.method == route
+    return res
+
+
+def _flipped(result, i, v):
+    """A copy of ``result`` with bit v of output i flipped."""
+    d = result.diagrams[i]
+    bits = list(d.bits)
+    bits[v] ^= 1
+    return dataclasses.replace(
+        result, diagrams=result.diagrams[:i] + (iv.Diagram(d.shadow, tuple(bits)),)
+        + result.diagrams[i + 1:])
+
+
+ROUTES = ("cycles", "digons-odd", "digons-even")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_replay_all_checks_every_output(route):
+    # replays share certificate suffixes between outputs; one non-first
+    # output with one bit flipped must still decide it, exactly as the
+    # outputs replayed one by one do
+    res = _route_result(route)
     assert gn.replay_all(res)
     rejected = 0
     for i in sorted({1, res.count // 2, res.count - 1}):
         d = res.diagrams[i]
         for v in range(d.n):
-            bits = list(d.bits)
-            bits[v] ^= 1
-            tampered = dataclasses.replace(
-                res, diagrams=res.diagrams[:i] + (iv.Diagram(d.shadow, tuple(bits)),)
-                + res.diagrams[i + 1:])
+            tampered = _flipped(res, i, v)
             ok = gn.replay_all(tampered)
-            assert ok == _replays(tampered, i), (i, v)
-            assert ok == all(_replays(tampered, j) for j in range(res.count))
+            assert ok == _replays_alone(tampered, i), (i, v)
+            assert ok == all(_replays_alone(tampered, j) for j in range(res.count))
             rejected += not ok
     assert rejected >= 2 * d.n
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_replay_all_replays_each_output_through_replay_certificate(
+        route, monkeypatch):
+    # replay_all looks replay_certificate up on the module, once per output,
+    # and stops at the first output that fails
+    res = _route_result(route)
+    i = res.count // 2
+    tampered = next(t for t in (_flipped(res, i, v) for v in range(res.shadow.n))
+                    if not _replays_alone(t, i))
+    original = gn.replay_certificate
+    calls = []
+
+    def counting(result, index):
+        calls.append(index)
+        return original(result, index)
+
+    monkeypatch.setattr(gn, "replay_certificate", counting)
+    assert gn.replay_all(res)
+    assert calls == list(range(res.count))
+    calls.clear()
+    assert not gn.replay_all(tampered)
+    assert calls == list(range(i + 1))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_replay_memo_belongs_to_one_result(route):
+    # a replace copy of a replayed result starts with an empty memo, so a
+    # flipped bit in a non-first output still fails its replay
+    res = _route_result(route)
+    assert gn.replay_all(res) and res.replayed
+    i = res.count - 1
+    fails = [v for v in range(res.shadow.n)
+             if not _replays_alone(_flipped(_route_result(route), i, v), i)]
+    assert fails
+    for v in fails:
+        tampered = _flipped(res, i, v)
+        assert not tampered.replayed
+        assert not gn.replay_all(tampered)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_replaying_twice_gives_the_same_answers(route):
+    res = _route_result(route)
+    tampered = _flipped(res, res.count - 1, 0)
+    for result in (res, tampered):
+        indices = range(result.count)
+        first = [gn.replay_certificate(result, i) for i in indices]
+        assert [gn.replay_certificate(result, i) for i in indices] == first
+        assert gn.replay_all(result) == gn.replay_all(result) == all(first)
+    assert gn.replay_all(res)
 
 
 def test_generate_unknots_meets_bound(corpus_shadow):
