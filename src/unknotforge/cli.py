@@ -29,13 +29,19 @@ from .errors import (
 USAGE_EXIT = 64
 
 
+class InputError(Exception):
+    """The input file could not be opened or read; exits with 1."""
+
+
 def _read_input(path: str, fmt: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as e:
-            raise CodecSyntaxError(
-                f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+    except UnicodeDecodeError as e:
+        raise CodecSyntaxError(
+            f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+    except OSError as e:
+        raise InputError(e) from None
     if fmt == "auto":
         fmt = cd.detect_format(text)
     return cd.parse(text, fmt)
@@ -299,7 +305,7 @@ def main(argv=None) -> int:
     except ShadowError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

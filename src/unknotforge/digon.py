@@ -191,7 +191,9 @@ def digons(overlay: MarkedOverlay):
     out = []
     for f in overlay.red_edges():
         u, v = pm.vertex_of(f), pm.vertex_of(shadow.twin[f])
-        if u == v or overlay.is_tangential(u) or overlay.is_tangential(v):
+        if u == v:
+            continue
+        if overlay.is_tangential(u) or overlay.is_tangential(v):
             continue
         for e in by_ends.get(frozenset((u, v)), ()):
             lo, hi = sorted((u, v))
@@ -236,16 +238,10 @@ def split_digon(overlay: MarkedOverlay, g: Digon):
     came from.
     """
     shadow = overlay.shadow
-    twin, colors = shadow.twin, overlay.colors
-    # g is one of digons(overlay), checked on its own two edges
-    if not (g.u < g.v and all(
-            0 <= e < len(twin) and e < twin[e] and colors[e] == color
-            and sorted((pm.vertex_of(e), pm.vertex_of(twin[e]))) == [g.u, g.v]
-            for e, color in ((g.blue_edge, BLUE), (g.red_edge, RED)))
-            and not (overlay.is_tangential(g.u) or overlay.is_tangential(g.v))):
+    if g not in digons(overlay):
         raise NotADigon(f"{g} is not a digon of this overlay")
-    e_darts = (g.blue_edge, twin[g.blue_edge])
-    f_darts = (g.red_edge, twin[g.red_edge])
+    e_darts = (g.blue_edge, shadow.twin[g.blue_edge])
+    f_darts = (g.red_edge, shadow.twin[g.red_edge])
     through = {}
     for w in (g.u, g.v):
         e_end = next(d for d in e_darts if pm.vertex_of(d) == w)

@@ -401,11 +401,10 @@ def _simplifies_to_trivial(diagram: iv.Diagram) -> bool:
 def replay_certificate(result: GenerationResult, index: int) -> bool:
     """Apply the output's recorded moves, outermost first; the construction
     holds when no crossings are left or the simplifier clears the rest.
-    False when a move's check or the end rule fails.  A replay stops early
-    at a (remaining moves, shadow, bits) suffix that an earlier replay of
-    this result took to the end rule; ``result.replayed`` holds those, and
-    a ``replace`` copy starts with none.  The first move always applies.
-    """
+    False when a move's check or the end rule fails.  After the first move,
+    a replay stops early at a (remaining moves, shadow, bits) suffix that an
+    earlier replay of this result took to the end rule; ``result.replayed``
+    holds those, and a ``replace`` copy starts with none."""
     cur, cert = result.diagrams[index], result.certificates[index]
     done = result.replayed
     ids = tuple(map(id, cert))

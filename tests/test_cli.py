@@ -308,6 +308,16 @@ def test_unopenable_path_exit_code(run):
     assert "Traceback" not in err
 
 
+def test_os_error_after_the_input_read_propagates(run, fig8_file, monkeypatch):
+    # only the input read is an input error; an OSError from the work itself
+    # (say a process pool that cannot start) keeps its traceback
+    def fail(*args, **kwargs):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(iv, "census", fail)
+    with pytest.raises(BlockingIOError):
+        run("census", fig8_file)
+
+
 def test_non_utf8_input_exit_code(run, tmp_path):
     p = tmp_path / "latin1.rot"
     p.write_bytes(b"shadow v=0 loops=1 outer=0 \xe9\n")
