@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from operator import itemgetter
 
 from . import decomp as dc
 from . import digon as dg
@@ -104,7 +106,19 @@ class Restrict:
             if not any(len(f) == 2 and {shadow.edge_id(d) for d in f} == self.bigon
                        for f in pm.faces(shadow)):
                 raise InternalInvariantViolation("split digon is not a bigon face")
-        return iv.Diagram(self.child, tuple(bits[pv] for pv in self.child_to_parent))
+        return iv.Diagram(self.child, self._survivors(bits))
+
+    @cached_property
+    def _survivors(self):
+        """``bits`` -> the tuple of ``bits[pv]`` over ``child_to_parent``.
+        ``itemgetter`` of one index returns the item, not a tuple, and takes
+        no zero indices, so those cases slice the bit tuple."""
+        keep = self.child_to_parent
+        if len(keep) > 1:
+            return itemgetter(*keep)
+        if keep:
+            return itemgetter(slice(keep[0], keep[0] + 1))
+        return itemgetter(slice(0, 0))
 
     def lift(self, child_bits) -> tuple:
         """The parent bits that this move restricts to ``child_bits``."""

@@ -269,14 +269,15 @@ class _Mut:
 
     ``bits[v]`` may be None (unknown); a move test that reads it raises
     ``_Unknown`` before it changes anything.  Beside the diagram the state
-    holds the run's position, the heap of queued vertices (``work`` and
-    ``queued``), and the move log.  ``shapes``, when not None, memoizes the
-    bit-free half of the type-A test on the twin table; ``row`` is the
-    entry of the current twin.
+    holds the run's position (the heap of queued vertices, ``work`` and
+    ``queued``, and ``scan``, the vertex where the type-A scan resumes) and
+    the move log.  ``shapes``, when not None, memoizes the bit-free half of
+    the type-A test on the twin table; ``row`` is the entry of the current
+    twin.
     """
 
-    __slots__ = ("twin", "bits", "free_loops", "work", "queued", "moves",
-                 "shapes", "row")
+    __slots__ = ("twin", "bits", "free_loops", "work", "queued", "scan",
+                 "moves", "shapes", "row")
 
     def __init__(self, diagram: Diagram, shapes=None):
         n = diagram.n
@@ -285,6 +286,7 @@ class _Mut:
         self.free_loops = diagram.shadow.free_loops
         self.work = list(range(n))      # a min-heap, each vertex at most once
         self.queued = [True] * n
+        self.scan = 0
         self.moves = []
         self.shapes = shapes
         self.row = None
@@ -298,6 +300,7 @@ class _Mut:
         new.free_loops = self.free_loops
         new.work = self.work[:]
         new.queued = self.queued[:]
+        new.scan = self.scan
         new.moves = self.moves[:]
         new.shapes = self.shapes
         new.row = self.row
@@ -341,11 +344,13 @@ class _Mut:
 
         Returns None when done, or the vertex of an unknown bit that a move
         test read; the test changed nothing, and the next call retries it.
-        A scan that stopped starts again from vertex 0: the vertices before
-        the stop had no collapse, and setting a bit gives them none.
+        A scan that stopped resumes at its stop vertex: the vertices before
+        it had no collapse, each for a walk with a known crossing of each
+        kind or for none at all, and setting a bit changes neither.
         """
         twin, work, queued = self.twin, self.work, self.queued
         n = len(queued)
+        scan = self.scan
         try:
             while True:
                 while work:
@@ -362,19 +367,21 @@ class _Mut:
                             if twin[4 * u] >= 0 and not queued[u]:
                                 queued[u] = True
                                 heapq.heappush(work, u)
-                for v in range(n):
-                    if twin[4 * v] >= 0:
-                        hit = _try_type_a(self, v)
+                for scan in range(scan, n):
+                    if twin[4 * scan] >= 0:
+                        hit = _try_type_a(self, scan)
                         if hit:
                             break
                 else:
                     return None
                 self.moves.append(hit[0])
                 self.row = None
+                scan = 0
                 work[:] = [u for u in range(n) if twin[4 * u] >= 0]
                 for u in work:
                     queued[u] = True
         except _Unknown as e:
+            self.scan = scan
             return e.args[0]
 
     def to_diagram(self):
@@ -685,9 +692,21 @@ class _ShadowRecord:
     computed once, and a diagram's verdict depends only on its bits at
     ``keep``.  Verdicts are memoized on those bits, ``limit`` and
     ``riii_depth``; polynomial verdicts on the reduced diagram.
+
+    The greedy runs of the quotient's diagrams share a decision tree, grown
+    as diagrams arrive.  Its root is the run with every bit unknown.  A node
+    is a list ``[u, state, child0, child1]``: the run ``state`` paused where
+    a move test read the unknown bit ``u``, and the nodes that go on with
+    bit 0 and with bit 1, made when a diagram first takes them.  A node
+    drops its paused state once it has both children.  A leaf is ``[None,
+    reduced, unread]``: the diagram the run left, with ``unread`` the
+    (reduced vertex, quotient vertex) of each live bit it never read.  The
+    tree does not depend on ``limit`` or ``riii_depth`` and stops growing at
+    ``_MEMO_CAP`` nodes.
     """
 
-    __slots__ = ("shadow", "quotient", "keep", "verdicts", "residues")
+    __slots__ = ("shadow", "quotient", "keep", "verdicts", "residues",
+                 "root", "nodes")
 
     def __init__(self, shadow: pm.Shadow):
         state = _Mut(Diagram(shadow, (0,) * shadow.n))
@@ -703,17 +722,66 @@ class _ShadowRecord:
         self.quotient = reduced.shadow
         self.verdicts = {}
         self.residues = {}
+        self.root = None
+        self.nodes = 0
 
     def verdict(self, bits: tuple, limit: int, riii_depth: int) -> KnotClass:
-        """The class of the quotient diagram with these bits."""
+        """The class of the quotient diagram with these bits: that of its
+        greedy residue, after the triangle-slide search at ``riii_depth``."""
         key = (bits, limit, riii_depth)
         cls = self.verdicts.get(key)
         if cls is None:
-            reduced, _ = simplify(Diagram(self.quotient, bits), riii_depth)
+            reduced = self.residue(bits)
+            if reduced.n and riii_depth > 0:
+                reduced, _ = simplify(reduced, riii_depth)
             cls = self.residue_class(reduced, limit)
             if len(self.verdicts) < _MEMO_CAP:
                 self.verdicts[key] = cls
         return cls
+
+    def residue(self, bits: tuple) -> Diagram:
+        """The diagram that ``simplify`` at RIII depth 0 leaves of the
+        quotient diagram with these bits: read down the tree, or simplified
+        from scratch when the tree would have to grow past its cap."""
+        node = self.root
+        if node is None:
+            q = len(self.keep)
+            node = self.root = self._node(
+                _Mut(Diagram(self.quotient, (None,) * q), shapes={}))
+        u = node[0]
+        while u is not None:
+            b = bits[u]
+            child = node[2 + b]
+            if child is None:
+                if self.nodes >= _MEMO_CAP:
+                    return simplify(Diagram(self.quotient, bits))[0]
+                state = node[1]
+                if node[3 - b] is None:
+                    state = state.fork(u, b)
+                else:
+                    node[1] = None
+                    state.bits[u] = b
+                child = node[2 + b] = self._node(state)
+            node = child
+            u = node[0]
+        _, reduced, unread = node
+        if not unread:
+            return reduced
+        leaf_bits = list(reduced.bits)
+        for i, v in unread:
+            leaf_bits[i] = bits[v]
+        return Diagram(reduced.shadow, tuple(leaf_bits))
+
+    def _node(self, state: _Mut) -> list:
+        """The node of a run that is ready to go on: run it to its next
+        pause or to its end."""
+        self.nodes += 1
+        u = state.run()
+        if u is not None:
+            return [u, state, None, None]
+        reduced, order = state.to_diagram()
+        unread = [(i, order[i]) for i, b in enumerate(reduced.bits) if b is None]
+        return [None, reduced, unread]
 
     def residue_class(self, reduced: Diagram, limit: int) -> KnotClass:
         """The class of a diagram the simplifier leaves: the unknot when it
@@ -761,10 +829,12 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     diagram: PreconditionViolated.
 
     Both certificates are taken on the shadow's curl quotient, with the
-    bits restricted to its vertices; removing a curl keeps the knot.
-    Verdicts are memoized for the last shadow classified, on the restricted
-    bits, ``limit`` and ``riii_depth``, and polynomials on the reduced
-    diagram, so repeated verdicts on one shadow cost a lookup.
+    bits restricted to its vertices; removing a curl keeps the knot.  The
+    last shadow classified keeps its record: verdicts memoized on the
+    restricted bits, ``limit`` and ``riii_depth``, polynomials on the
+    reduced diagram, and one tree of greedy simplifier runs that its
+    diagrams walk down, so a diagram simplifies only from where its bits
+    first differ from an earlier one's.  Repeated verdicts cost a lookup.
     """
     rec = _shadow_record(diagram.shadow)
     bits = diagram.bits

@@ -269,6 +269,22 @@ def _flipped(result, i, v):
 ROUTES = ("cycles", "digons-odd", "digons-even")
 
 
+def test_restrict_keeps_the_survivor_bits_in_child_order():
+    # every move of every route's certificates, applied along each output,
+    # against the bits read one child vertex at a time; moves onto one
+    # child vertex and onto none are among them
+    sizes = set()
+    for route in ROUTES:
+        res = _route_result(route)
+        for d, cert in zip(res.diagrams, res.certificates):
+            for move in cert:
+                child = move.apply(d)
+                assert child.bits == tuple(d.bits[pv] for pv in move.child_to_parent)
+                sizes.add(min(len(child.bits), 2))
+                d = child
+    assert sizes == {0, 1, 2}
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_replay_all_checks_every_output(route):
     # replays share certificate suffixes between outputs; one non-first

@@ -1,5 +1,6 @@
 """Bracket, writhe, normalized polynomial, simplify, classify, census."""
 
+import functools
 import importlib.util
 import itertools
 import json
@@ -13,9 +14,10 @@ import pytest
 
 from conftest import CORPUS, doubled_ring_link
 from unknotforge import codec as cd
+from unknotforge import generate as gn
 from unknotforge import invariants as iv
 from unknotforge import planemap as pm
-from unknotforge.errors import LimitExceeded, PreconditionViolated
+from unknotforge.errors import LimitExceeded, PreconditionViolated, ShadowError
 from unknotforge.invariants import LaurentPoly
 
 
@@ -581,12 +583,15 @@ def _fresh_verdict(diagram, limit, riii_depth):
     return out.stdout.strip()
 
 
+MEMO_SETTINGS = ((12, 0), (iv.DEFAULT_LIMIT, 0), (iv.DEFAULT_LIMIT, 2), (12, 2))
+
+
 def test_memo_keys_give_fresh_verdicts():
     # limit 12 leaves the alternating cn(13) unresolved, the default limit
     # resolves it; every call must agree with a fresh interpreter, whatever
     # ran before it on this shadow or on another
     d = iv.alternating_diagram(pm.cn(13))
-    settings = ((12, 0), (iv.DEFAULT_LIMIT, 0), (iv.DEFAULT_LIMIT, 2), (12, 2))
+    settings = MEMO_SETTINGS
     fresh = {k: _fresh_verdict(d, *k) for k in settings}
     assert fresh[(12, 0)].startswith("unresolved")
     assert fresh[(iv.DEFAULT_LIMIT, 0)].startswith("other")
@@ -601,6 +606,77 @@ def test_memo_keys_give_fresh_verdicts():
         assert f"{cls.name} {cls.presumed}" == fresh[settings[i]], settings[i]
 
 
+def _plain_verdict(rec, diagram, limit, riii_depth):
+    """The verdict of a quotient diagram simplified from scratch, or the
+    class of the error it raises."""
+    bits = tuple(diagram.bits[v] for v in rec.keep)
+    reduced, _ = iv.simplify(iv.Diagram(rec.quotient, bits), riii_depth)
+    try:
+        return rec.residue_class(reduced, limit)
+    except ShadowError as e:
+        return type(e)
+
+
+@functools.lru_cache(maxsize=1)
+def _tree_cases():
+    """Every generated output and random assignments, grouped by shadow,
+    and their plain verdicts at each of MEMO_SETTINGS."""
+    rng = random.Random(53)
+    groups = []
+    for s in _runner_shadows() + _braid_shadows(((4, 21),), 61):
+        diagrams = list(gn.generate_unknots(s).diagrams)
+        diagrams += [iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
+                     for _ in range(8)]
+        groups.append(diagrams)
+    groups.append(list(iv.assignments(doubled_ring_link(4))))
+    plain = {}
+    for diagrams in groups:
+        rec = iv._ShadowRecord(diagrams[0].shadow)
+        for d in diagrams:
+            for k in MEMO_SETTINGS:
+                plain[d, k] = _plain_verdict(rec, d, *k)
+    return groups, plain
+
+
+@pytest.mark.parametrize("cap", (iv._MEMO_CAP, 6))
+def test_tree_verdicts_equal_plain_verdicts(monkeypatch, cap):
+    # each shadow's diagrams in turn, so trees grow deep, then a sample of
+    # them shuffled, so trees are evicted between shadows; the small cap
+    # makes verdicts fall back to simplify once a tree is full
+    groups, plain = _tree_cases()
+    assert PreconditionViolated in plain.values()
+    rng = random.Random(67)
+    monkeypatch.setattr(iv, "_MEMO_CAP", cap)
+    by_shadow = []
+    for diagrams in groups:
+        calls = [(d, k) for d in diagrams for k in MEMO_SETTINGS]
+        rng.shuffle(calls)
+        by_shadow += calls
+    shuffled = rng.sample(by_shadow, 1500)
+    nodes = 0
+    for calls in (by_shadow, shuffled):
+        monkeypatch.setattr(iv, "_record", None)
+        for d, (limit, depth) in calls:
+            try:
+                got = iv.classify(d, limit, depth)
+            except ShadowError as e:
+                got = type(e)
+            assert got == plain[d, (limit, depth)], (d, limit, depth)
+            nodes = max(nodes, iv._record.nodes)
+    if cap == 6:
+        assert nodes == cap
+    else:
+        assert 100 < nodes < cap
+
+
+def _tree_size(node):
+    if node is None:
+        return 0
+    if node[0] is None:
+        return 1
+    return 1 + _tree_size(node[2]) + _tree_size(node[3])
+
+
 def test_memos_stop_growing_at_the_cap():
     s = pm.cn(13)
     for d in itertools.islice(iv.assignments(s), iv._MEMO_CAP + 64):
@@ -608,6 +684,7 @@ def test_memos_stop_growing_at_the_cap():
     rec = iv._shadow_record(s)
     assert len(rec.verdicts) == iv._MEMO_CAP < 1 << s.n
     assert 0 < len(rec.residues) <= iv._MEMO_CAP
+    assert _tree_size(rec.root) == rec.nodes == iv._MEMO_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -674,3 +751,49 @@ def test_runner_stops_only_on_unknown_bits_and_forks_exactly():
             got, assignment = _finish(state, full)
             assert got == iv.simplify(iv.Diagram(s, assignment)), (s, bits)
     assert stops > 200
+
+
+def _braid_shadows(specs, seed):
+    """Closed braids, one for each (strands, length) in ``specs``."""
+    braid = _load_braid()
+    rng = random.Random(seed)
+    return [cd.parse(braid.braid_pd(braid.random_knot_word(rng, k, length), k),
+                     "pd").shadow for k, length in specs]
+
+
+def test_scan_resumes_at_its_stop(monkeypatch):
+    # a run paused in the type-A scan tests no vertex below the stop once
+    # the bit is set, until its next collapse, and still ends as simplify;
+    # each run starts with every bit unknown and reads a generated output's
+    # bits as it asks for them, as classify's tree does
+    tested = []
+    real = iv._try_type_a
+
+    def counted(state, v):
+        tested.append(v)
+        hit = real(state, v)
+        if hit:
+            tested.append("hit")
+        return hit
+
+    monkeypatch.setattr(iv, "_try_type_a", counted)
+    stops = []
+    shadows = _runner_shadows() + _braid_shadows(((3, 24), (4, 21), (4, 25)), 61)
+    for s in shadows:
+        for d in gn.generate_unknots(s).diagrams[:16]:
+            state = iv._Mut(iv.Diagram(s, (None,) * s.n))
+            u = state.run()
+            while u is not None:
+                if not state.work:
+                    stop = tested[-1]
+                    assert state.scan == stop
+                    tested.clear()
+                    got, _ = _finish(state.fork(u, d.bits[u]), d.bits)
+                    if "hit" in tested:
+                        del tested[tested.index("hit"):]
+                    assert tested[0] == stop and tested == sorted(tested), s
+                    assert got == iv.simplify(d), s
+                    stops.append(stop)
+                state.bits[u] = d.bits[u]
+                u = state.run()
+    assert len(stops) > 100 and sum(v > 0 for v in stops) > 50
