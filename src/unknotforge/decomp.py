@@ -81,8 +81,8 @@ def find_straight_ahead_cycle(shadow: pm.Shadow, walk: pm.Walk) -> StraightAhead
 
 def enumerate_straight_ahead_cycles(shadow: pm.Shadow):
     """All straight-ahead cycles, deduplicated by edge set, in the order
-    their first witnessing dart appears."""
-    out = []
+    their first witnessing dart appears; a generator, so a caller that
+    stops at the first cycle it wants walks no further darts."""
     seen = set()
     for d0 in shadow.darts():
         root = pm.vertex_of(d0)
@@ -96,13 +96,12 @@ def enumerate_straight_ahead_cycles(shadow: pm.Shadow):
                 if key not in seen:
                     seen.add(key)
                     check_cycle(shadow, cyc)
-                    out.append(cyc)
+                    yield cyc
                 break
             if nxt in visited:
                 break
             visited.add(nxt)
             seq.append(shadow.sigma(seq[-1]))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,24 @@ class _Mut:
         new.row = self.row
         return new
 
+    def key(self):
+        """Everything the rest of the run reads, so two states with equal
+        keys run to the same end on the same setting of their unknown bits.
+
+        A removed vertex's bit is never read again: ``_try_r1`` reads no
+        bit, ``_try_r2`` and ``_try_type_a`` read bits of live vertices
+        only, and a heap entry of a removed vertex is popped without a test.
+        ``queued[v]`` holds exactly when ``v`` is in ``work``, and a min-heap
+        of distinct vertices pops them in sorted order, so the sorted live
+        vertices in ``work`` fix the pops.  ``shapes`` and ``row`` cache
+        functions of the twin table; the census never reads ``moves``.
+        """
+        twin = self.twin
+        live = [v for v in range(len(self.queued)) if twin[4 * v] >= 0]
+        return (tuple(twin), tuple(self.bits[v] for v in live),
+                tuple(sorted(v for v in self.work if twin[4 * v] >= 0)),
+                self.scan, self.free_loops)
+
     def over_dart(self, d):
         b = self.bits[d >> 2]
         if b is None:
@@ -841,39 +859,31 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     return rec.verdict(tuple(bits[v] for v in rec.keep), limit, riii_depth)
 
 
-def _census_chunk(args):
-    """Census counts of the quotient assignments whose ``p`` highest bits
-    read ``prefix``.
+def _census_walk(rec, state, limit, memo):
+    """Census counts and least failure of the assignments below ``state``.
 
-    One greedy simplifier run starts with the other bits unknown and forks
-    in two, depth first, where a move test reads an unknown bit, so the
-    assignments share every move made before their bits differ.  A run
-    that ends stands for all its unread bits: each unread bit of a removed
-    vertex doubles its weight, and the unread bits of live vertices are
-    enumerated on the reduced diagram, classified by ``residue_class``.  A
-    diagram that is no knot raises for the least assignment that shows it,
-    as enumeration in bit-vector order would.
+    The counts run over the assignments of the bits that are unknown and
+    live when the call starts; an unknown bit whose vertex the run removes
+    is never read and doubles them.  A run that ends enumerates the unknown
+    bits of its live vertices on the reduced diagram, classified by
+    ``residue_class``.  A run that pauses on bit ``u`` goes on with ``u``
+    set to 0 in place and set to 1 on a fork, and the sum of the two is
+    memoized on ``state.key()`` (at most ``_MEMO_CAP`` entries), so the
+    branches that pause in one state share one walk: the tree of partial
+    assignments becomes a DAG.
+
+    The failure is None or ``(bits set below this state, error)`` for the
+    least assignment whose diagram is no knot, as enumeration in bit-vector
+    order would meet it first.
     """
-    shadow, prefix, p, limit = args
-    rec = _shadow_record(shadow)
-    q = len(rec.keep)
-    bits = [None] * q
-    for i in range(p):
-        bits[q - p + i] = (prefix >> i) & 1
-    weight = 1 << (shadow.n - q)
-    counts = {}
-    failures = []
-    stack = [_Mut(Diagram(rec.quotient, tuple(bits)), shapes={})]
-    while stack:
-        state = stack.pop()
-        u = state.run()
-        while u is not None:
-            stack.append(state.fork(u, 1))
-            state.bits[u] = 0
-            u = state.run()
+    twin, bits = state.twin, state.bits
+    unknown = sum(1 for v, b in enumerate(bits) if b is None and twin[4 * v] >= 0)
+    u = state.run()
+    if u is None:
         reduced, order = state.to_diagram()
         free = [i for i, b in enumerate(reduced.bits) if b is None]
-        w = weight << (state.bits.count(None) - len(free))
+        counts = {}
+        failure = None
         leaf_bits = list(reduced.bits)
         for k in range(1 << len(free)):
             for j, i in enumerate(free):
@@ -882,14 +892,54 @@ def _census_chunk(args):
                 cls = rec.residue_class(Diagram(reduced.shadow, tuple(leaf_bits)),
                                         limit)
             except ShadowError as e:
-                least = sum(1 << v for v, b in enumerate(state.bits) if b)
-                least += sum(1 << order[i] for i in free if leaf_bits[i])
-                failures.append((least, e))
+                if failure is None:     # ``order`` rises, so k does too
+                    failure = (sum(1 << order[i] for i in free if leaf_bits[i]), e)
                 continue
-            counts[cls] = counts.get(cls, 0) + w
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return counts
+            counts[cls] = counts.get(cls, 0) + 1
+        left = len(free)
+    else:
+        key = state.key()
+        hit = memo.get(key)
+        if hit is None:
+            one = state.fork(u, 1)
+            bits[u] = 0
+            counts, failure = _census_walk(rec, state, limit, memo)
+            counts = dict(counts)
+            more, worse = _census_walk(rec, one, limit, memo)
+            for cls, k in more.items():
+                counts[cls] = counts.get(cls, 0) + k
+            if worse is not None:
+                worse = (worse[0] + (1 << u), worse[1])
+                if failure is None or worse[0] < failure[0]:
+                    failure = worse
+            hit = counts, failure
+            if len(memo) < _MEMO_CAP:
+                memo[key] = hit
+        counts, failure = hit
+        left = key[1].count(None)      # the unknown live bits at the pause
+    if unknown > left:
+        counts = {cls: k << (unknown - left) for cls, k in counts.items()}
+    return counts, failure
+
+
+def _census_chunk(args):
+    """Census counts of the quotient assignments whose ``p`` highest bits
+    read ``prefix``: one ``_census_walk`` from the run with the other bits
+    unknown, with a memo of its own, each count standing for the 2^(n - q)
+    diagrams that differ at curls only.  A diagram that is no knot raises
+    for the least assignment that shows it.
+    """
+    shadow, prefix, p, limit = args
+    rec = _shadow_record(shadow)
+    q = len(rec.keep)
+    bits = [None] * q
+    for i in range(p):
+        bits[q - p + i] = (prefix >> i) & 1
+    state = _Mut(Diagram(rec.quotient, tuple(bits)), shapes={})
+    counts, failure = _census_walk(rec, state, limit, {})
+    if failure is not None:
+        raise failure[1]
+    return {cls: k << (shadow.n - q) for cls, k in counts.items()}
 
 
 def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1):
@@ -899,9 +949,11 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1):
     Only the 2^q assignments of the curl quotient's q vertices are
     classified, each standing for the 2^(n - q) diagrams that differ from
     it at curls only, and they are classified by one walk of the greedy
-    simplifier over a tree of partial assignments (``_census_chunk``).  A
-    process pool splits the tree at its highest quotient bits; it has
-    ``threads`` workers (0: eight), at most one per CPU and one per job.
+    simplifier over a tree of partial assignments whose branches that pause
+    in the same state are walked once (``_census_walk``).  A process pool
+    splits the walk at its highest quotient bits, each part with a memo of
+    its own; it has ``threads`` workers (0: eight), at most one per CPU and
+    one per job.
     """
     n = shadow.n
     if n > limit:

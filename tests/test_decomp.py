@@ -162,7 +162,7 @@ def test_prop_quotient_preserves_most_straight_cycles(corpus):
     for name, s in corpus:
         if s.n == 0:
             continue
-        cycles = dc.enumerate_straight_ahead_cycles(s)
+        cycles = list(dc.enumerate_straight_ahead_cycles(s))
         c = cycles[rng.randrange(len(cycles))]
         step = dc.quotient(s, c)
         child = step.child

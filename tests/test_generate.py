@@ -102,7 +102,7 @@ def test_prop_lift_inequality_by_census(corpus):
     for name, s in corpus:
         if not 1 <= s.n <= 7:
             continue
-        cycles = dc.enumerate_straight_ahead_cycles(s)
+        cycles = list(dc.enumerate_straight_ahead_cycles(s))
         cyc = cycles[rng.randrange(len(cycles))]
         step = dc.quotient(s, cyc)
         u_s = iv.unknot_count(iv.census(s))

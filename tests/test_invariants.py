@@ -797,3 +797,158 @@ def test_scan_resumes_at_its_stop(monkeypatch):
                 state.bits[u] = d.bits[u]
                 u = state.run()
     assert len(stops) > 100 and sum(v > 0 for v in stops) > 50
+
+
+# ---------------------------------------------------------------------------
+# the census walk: paused runs with equal keys share their counts
+# ---------------------------------------------------------------------------
+
+def _curl_heavy_shadow():
+    s = pm.random_shadow(14, 16)
+    assert len(iv._shadow_record(s).keep) < s.n
+    return s
+
+
+def _fig8_cubed():
+    f8 = pm.standard_figure8()
+    return pm.connected_sum(pm.connected_sum(f8, f8), f8)
+
+
+def test_census_merges_equal_paused_states(monkeypatch):
+    # forks are counted by a wrapper; pauses and distinct paused states by
+    # wrapping run, with keys taken where the run stops
+    s = pm.cn(11)
+    forks = []
+    pauses = []
+    real_fork, real_run, cap = iv._Mut.fork, iv._Mut.run, iv._MEMO_CAP
+
+    def fork(self, v, bit):
+        forks.append(v)
+        return real_fork(self, v, bit)
+
+    def run(self):
+        u = real_run(self)
+        if u is not None:
+            pauses.append(self.key())
+        return u
+
+    monkeypatch.setattr(iv._Mut, "fork", fork)
+    monkeypatch.setattr(iv._Mut, "run", run)
+    monkeypatch.setattr(iv, "_MEMO_CAP", 0)     # no memo: the walk is a tree
+    tree = iv.census(s, threads=1)
+    assert len(forks) == len(pauses) == 1865
+    distinct = len(set(pauses))
+    assert distinct == 499
+    forks.clear()
+    pauses.clear()
+    monkeypatch.setattr(iv, "_MEMO_CAP", cap)
+    assert iv.census(s, threads=1) == tree
+    assert len(forks) <= distinct < len(pauses)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_census_counts_do_not_depend_on_the_memo_cap(monkeypatch, threads):
+    for s in (pm.cn(11), _fig8_cubed(), _curl_heavy_shadow()):
+        got = []
+        for cap in (0, 8, iv._MEMO_CAP):
+            with monkeypatch.context() as m:
+                m.setattr(iv, "_MEMO_CAP", cap)
+                census = iv.census(s, threads=threads)
+            got.append(list(census.items()))
+        assert got[0] == got[1] == got[2]
+        assert sum(k for _, k in got[0]) == 1 << s.n
+
+
+def _paused_states(shadow):
+    """A copy of every paused run of the tree walk over the shadow."""
+    out = []
+    stack = [iv._Mut(iv.Diagram(shadow, (None,) * shadow.n), shapes={})]
+    while stack:
+        state = stack.pop()
+        u = state.run()
+        if u is None:
+            continue
+        out.append(state.fork(u, None))
+        stack.append(state.fork(u, 1))
+        state.bits[u] = 0
+        stack.append(state)
+    return out
+
+
+def test_census_keys_are_sound():
+    # runs paused with equal keys end equal once their unknown live bits
+    # are set alike; unknown bits of removed vertices are set at random
+    rng = random.Random(53)
+    f8 = pm.standard_figure8()
+    shared = 0
+    for s in (pm.cn(9), pm.connected_sum(f8, f8), pm.random_shadow(10, 16)):
+        groups = {}
+        for state in _paused_states(s):
+            groups.setdefault(state.key(), []).append(state)
+        for states in groups.values():
+            if len(states) < 2:
+                continue
+            shared += len(states) - 1
+            for _ in range(4):
+                fill = [rng.randrange(2) for _ in range(s.n)]
+                ends = set()
+                for state in states:
+                    state = state.fork(0, state.bits[0])    # a copy
+                    live = [state.twin[4 * v] >= 0 for v in range(s.n)]
+                    state.bits[:] = [b if b is not None else
+                                     fill[v] if live[v] else rng.randrange(2)
+                                     for v, b in enumerate(state.bits)]
+                    assert state.run() is None
+                    ends.add(state.to_diagram()[0])
+                assert len(ends) == 1, s
+    assert shared > 100
+
+
+def _trefoil_left_raises(monkeypatch):
+    """Make ``residue_class`` raise, naming the residue, wherever the true
+    class is trefoil_left."""
+    real = iv._ShadowRecord.residue_class
+
+    def patched(self, reduced, limit):
+        cls = real(self, reduced, limit)
+        if cls.kind == "trefoil_left":
+            raise PreconditionViolated(
+                f"trefoil_left at {reduced.shadow.twin} {reduced.bits}")
+        return cls
+
+    monkeypatch.setattr(iv._ShadowRecord, "residue_class", patched)
+    monkeypatch.setattr(iv, "_record", None)    # drop memoized verdicts
+
+
+def _first_error(shadow):
+    """Type and message of the error ``classify`` raises on the first
+    assignment in bit-vector order that raises one."""
+    for d in iv.assignments(shadow):
+        try:
+            iv.classify(d)
+        except ShadowError as e:
+            return type(e), str(e)
+    raise AssertionError("no assignment raises")
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_census_raises_for_the_least_failing_assignment(monkeypatch, threads):
+    # every trefoil_left diagram of cn(9) has one residue; the curl-heavy
+    # shadows have several, so there the message tells residues apart
+    _trefoil_left_raises(monkeypatch)
+    for s in (pm.cn(9), pm.random_shadow(14, 16), pm.random_shadow(10, 16)):
+        kind, message = _first_error(s)
+        assert kind is PreconditionViolated
+        assert message.startswith("trefoil_left")
+        with pytest.raises(PreconditionViolated) as e:
+            iv.census(s, threads=threads)
+        assert str(e.value) == message
+
+
+@pytest.mark.parametrize("k", (4, 6))
+def test_census_of_a_link_shadow_raises_as_classify(k):
+    s = doubled_ring_link(k)
+    kind, message = _first_error(s)
+    with pytest.raises(ShadowError) as e:
+        iv.census(s)
+    assert (type(e.value), str(e.value)) == (kind, message)
