@@ -267,17 +267,19 @@ class _Mut:
     """Mutable diagram state of one greedy simplifier run.  A vertex is
     live while its darts are paired: removal sets them to -1.
 
-    ``bits[v]`` may be None (unknown); a move test that reads it raises
-    ``_Unknown`` before it changes anything.  Beside the diagram the state
-    holds the run's position (the heap of queued vertices, ``work`` and
-    ``queued``, and ``scan``, the vertex where the type-A scan resumes) and
-    the move log.  ``shapes``, when not None, memoizes the bit-free half of
-    the type-A test on the twin table; ``row`` is the entry of the current
+    ``bits[v]`` may be None (unknown).  A move test that meets an unknown
+    bit asks ``read`` for it before it changes anything: a run with a
+    ``source`` takes the bit from it and appends ``(v, bit)`` to ``log``,
+    one without raises ``_Unknown``.  Beside the diagram the state holds the
+    run's position (the heap of queued vertices, ``work`` and ``queued``,
+    and ``scan``, the vertex where the type-A scan resumes) and the move
+    log.  ``shapes``, when not None, memoizes the bit-free half of the
+    type-A test on the twin table; ``row`` is the entry of the current
     twin.
     """
 
     __slots__ = ("twin", "bits", "free_loops", "work", "queued", "scan",
-                 "moves", "shapes", "row")
+                 "moves", "shapes", "row", "source", "log")
 
     def __init__(self, diagram: Diagram, shapes=None):
         n = diagram.n
@@ -290,6 +292,8 @@ class _Mut:
         self.moves = []
         self.shapes = shapes
         self.row = None
+        self.source = None
+        self.log = []
 
     def fork(self, v, bit):
         """A copy of the state with bit ``v`` set to ``bit``."""
@@ -304,6 +308,8 @@ class _Mut:
         new.moves = self.moves[:]
         new.shapes = self.shapes
         new.row = self.row
+        new.source = None
+        new.log = []
         return new
 
     def key(self):
@@ -324,11 +330,14 @@ class _Mut:
                 tuple(sorted(v for v in self.work if twin[4 * v] >= 0)),
                 self.scan, self.free_loops)
 
-    def over_dart(self, d):
-        b = self.bits[d >> 2]
-        if b is None:
-            raise _Unknown(d >> 2)
-        return (d & 1) == b
+    def read(self, v):
+        """The unknown bit of ``v``: set from ``source`` and logged, or
+        ``_Unknown`` raised when the run has no source."""
+        if self.source is None:
+            raise _Unknown(v)
+        b = self.bits[v] = self.source[v]
+        self.log.append((v, b))
+        return b
 
     def excise(self, through, deleted=()):
         """Remove the vertices named in ``through`` by ``planemap.splice``;
@@ -354,18 +363,28 @@ class _Mut:
             walks = row[v] = _type_a_walks(self.twin, v)
         return walks
 
-    def run(self):
+    def run(self, source=None):
         """Apply greedy moves until none applies: curl and bigon removals
         from the heap, lowest vertex first; when it is empty, the first
         type-A collapse of a scan in vertex order, which queues every live
         vertex again.
 
-        Returns None when done, or the vertex of an unknown bit that a move
-        test read; the test changed nothing, and the next call retries it.
-        A scan that stopped resumes at its stop vertex: the vertices before
-        it had no collapse, each for a walk with a known crossing of each
-        kind or for none at all, and setting a bit changes neither.
+        Without ``source`` the run pauses: it returns None when done, or the
+        vertex of an unknown bit that a move test read; the test changed
+        nothing, and the next call retries it.  A scan that stopped resumes
+        at its stop vertex: the vertices before it had no collapse, each
+        for a walk with a known crossing of each kind or for none at all,
+        and setting a bit changes neither.
+
+        With ``source``, a bit vector of the diagram, the run reads on
+        demand and goes on to its end: each unknown bit that a test meets
+        is set from ``source`` and logged in ``log`` as ``(vertex, bit)``,
+        and the test goes on or starts again at the same vertex, as the
+        retry would.  So ``log`` lists the pauses that a paused run fed the
+        same bits would make, in order, and the two runs end alike.
         """
+        self.source = source
+        self.log = []
         twin, work, queued = self.twin, self.work, self.queued
         n = len(queued)
         scan = self.scan
@@ -419,10 +438,8 @@ def _straight_through_mut(vertices):
 def _try_r1(state: _Mut, v):
     twin = state.twin
     base = 4 * v
-    for s in range(4):
-        d = base + s
-        t = twin[d]
-        if t >> 2 == v and ((t - d) & 3) in (1, 3):
+    for d, t in enumerate(twin[base:base + 4], base):
+        if t >> 2 == v and (t ^ d) & 1:     # a loop edge on adjacent slots
             others = [base + r for r in range(4) if base + r not in (d, t)]
             x, y = twin[others[0]], twin[others[1]]
             if x == others[1]:
@@ -439,36 +456,42 @@ def _try_r1(state: _Mut, v):
 
 
 def _try_r2(state: _Mut, v):
-    twin = state.twin
+    """Remove a bigon at ``v`` whose strand passes over (or under) both of
+    its crossings.  The neighbours returned are the vertices at the four
+    outer ends, ``v`` and ``w`` among them when an end is a loop edge; both
+    are removed."""
+    twin, bits = state.twin, state.bits
+    base = 4 * v
+    ts = twin[base:base + 4]
     for s in range(4):
-        d = 4 * v + s
-        t = twin[d]
+        t = ts[s]
         w = t >> 2
         if w == v:
             continue
-        # bigon face {d, rotate(t)}: requires rotate(twin(rotate(t))) == d
-        x = pm.rotate(t)
-        if pm.rotate(twin[x]) != d:
+        # d and d2, the dart before it at v, bound a bigon with t and
+        # x = rotate(t) at w when twin[d2] == x
+        x = (t & ~3) | ((t + 1) & 3)
+        if ts[s - 1] != x:
             continue
-        if state.over_dart(d) != state.over_dart(t):
+        d = base + s
+        bv = bits[v]
+        if bv is None:
+            bv = state.read(v)
+        bw = bits[w]
+        if bw is None:
+            bw = state.read(w)
+        if ((d & 1) == bv) != ((t & 1) == bw):
             continue
-        neighbours = set()
-        for z in (v, w):
-            for r in range(4):
-                q = twin[4 * z + r]
-                if q >= 0 and q >> 2 not in (v, w):
-                    neighbours.add(q >> 2)
-        d2 = twin[x]                          # second bigon dart at v
+        d2 = base + (s - 1) % 4
         ends = (twin[d ^ 2], twin[t ^ 2], twin[d2 ^ 2], twin[x ^ 2])
-        if all(e >> 2 not in (v, w) for e in ends):
+        neighbours = [e >> 2 for e in ends]
+        if v not in neighbours and w not in neighbours:
             a1, b1, a2, b2 = ends
             twin[a1] = b1
             twin[b1] = a1
             twin[a2] = b2
             twin[b2] = a2
-            for z in (v, w):
-                for r in range(4):
-                    twin[4 * z + r] = -1
+            twin[base:base + 4] = twin[4 * w:4 * w + 4] = (-1, -1, -1, -1)
         else:
             state.excise(_straight_through_mut((v, w)))
         return ("r2", v, w), neighbours
@@ -494,10 +517,24 @@ def _type_a_walks(twin, v):
 
 def _try_type_a(state: _Mut, v):
     """Collapse a walk from ``v`` whose strand passes over (or under) every
-    crossing inside it.  A walk with a known crossing of each kind is
-    passed over before any unknown bit on it is read."""
-    bits = state.bits
+    crossing inside it."""
     for walk, interior in state.type_a_walks(v):
+        over = _one_sided(state, walk)
+        if over is not None:
+            side = pm.OVER if over else pm.UNDER
+            state.excise(pm.cycle_through(state.twin, walk), walk)
+            return ("ta", v, side, interior), set()
+    return None
+
+
+def _one_sided(state: _Mut, walk):
+    """Whether the walk's strand passes over every crossing inside it (True)
+    or under every one (False); None when it does neither.  A walk with a
+    known crossing of each kind is passed over before any unknown bit on it
+    is read; otherwise the last unknown bit is read and the walk scanned
+    again."""
+    bits = state.bits
+    while True:
         over = unknown = None
         for d in walk[1:]:
             b = bits[d >> 2]
@@ -506,14 +543,10 @@ def _try_type_a(state: _Mut, v):
             elif over is None:
                 over = (d & 1) == b
             elif over != ((d & 1) == b):
-                break
-        else:
-            if unknown is not None:
-                raise _Unknown(unknown)
-            side = pm.OVER if over else pm.UNDER
-            state.excise(pm.cycle_through(state.twin, walk), walk)
-            return ("ta", v, side, interior), set()
-    return None
+                return None
+        if unknown is None:
+            return over
+        state.read(unknown)
 
 
 def simplify(diagram: Diagram, riii_depth: int = 0):
@@ -701,6 +734,11 @@ def reference_polynomials():
 # each memo of a shadow record stops growing at this many entries
 _MEMO_CAP = 4096
 
+# the census memo of paused states stops growing at this many entries, about
+# 1.3 KB each at 17-19 crossings: cn(17) pauses in 8,497 distinct states and
+# cn(19) in 22,075 (29 MB)
+_CENSUS_CAP = 1 << 15
+
 
 class _ShadowRecord:
     """Classification state of one shadow.
@@ -711,20 +749,29 @@ class _ShadowRecord:
     ``keep``.  Verdicts are memoized on those bits, ``limit`` and
     ``riii_depth``; polynomial verdicts on the reduced diagram.
 
-    The greedy runs of the quotient's diagrams share a decision tree, grown
-    as diagrams arrive.  Its root is the run with every bit unknown.  A node
-    is a list ``[u, state, child0, child1]``: the run ``state`` paused where
-    a move test read the unknown bit ``u``, and the nodes that go on with
-    bit 0 and with bit 1, made when a diagram first takes them.  A node
-    drops its paused state once it has both children.  A leaf is ``[None,
-    reduced, unread]``: the diagram the run left, with ``unread`` the
-    (reduced vertex, quotient vertex) of each live bit it never read.  The
-    tree does not depend on ``limit`` or ``riii_depth`` and stops growing at
-    ``_MEMO_CAP`` nodes.
+    The greedy runs of the quotient's diagrams share a path-compressed
+    tree, grown as diagrams arrive.  Each node is reached by an edge that
+    holds ``log``, the ``(vertex, bit)`` reads of one run between the
+    node's start and its end: a diagram whose bits agree with the log runs
+    through the edge as that run did.  A leaf is ``[log, None, reduced,
+    unread]``: the diagram the run left, with ``unread`` the (reduced
+    vertex, quotient vertex) of each live bit it never read.  A branch is
+    ``[log, u, paused, child0, child1]``: the run paused on the unknown bit
+    ``u`` after the log, and the nodes that go on with ``u`` set to 0 and
+    to 1.  The root starts from the run with every bit unknown, a child
+    from its parent's paused state with ``u`` set.
+
+    A diagram that walks off the tree, at a read where its bit differs from
+    the log, splits that edge: the edge's start is run again in pause mode
+    with the agreed reads set, which stops at that read, and a new leaf
+    goes on from there reading the diagram's bits on demand.  So the tree
+    has one leaf per run that reached an end, and it branches only where
+    two of its diagrams part.  It does not depend on ``limit`` or
+    ``riii_depth`` and stops growing at ``_MEMO_CAP`` leaves.
     """
 
     __slots__ = ("shadow", "quotient", "keep", "verdicts", "residues",
-                 "root", "nodes")
+                 "shapes", "root", "nodes")
 
     def __init__(self, shadow: pm.Shadow):
         state = _Mut(Diagram(shadow, (0,) * shadow.n))
@@ -740,6 +787,7 @@ class _ShadowRecord:
         self.quotient = reduced.shadow
         self.verdicts = {}
         self.residues = {}
+        self.shapes = {}
         self.root = None
         self.nodes = 0
 
@@ -763,26 +811,20 @@ class _ShadowRecord:
         from scratch when the tree would have to grow past its cap."""
         node = self.root
         if node is None:
-            q = len(self.keep)
-            node = self.root = self._node(
-                _Mut(Diagram(self.quotient, (None,) * q), shapes={}))
-        u = node[0]
-        while u is not None:
-            b = bits[u]
-            child = node[2 + b]
-            if child is None:
-                if self.nodes >= _MEMO_CAP:
-                    return simplify(Diagram(self.quotient, bits))[0]
-                state = node[1]
-                if node[3 - b] is None:
-                    state = state.fork(u, b)
-                else:
-                    node[1] = None
-                    state.bits[u] = b
-                child = node[2 + b] = self._node(state)
-            node = child
-            u = node[0]
-        _, reduced, unread = node
+            node = self.root = self._leaf(self._start(), bits)
+        parent = None
+        while True:
+            for i, (v, b) in enumerate(node[0]):
+                if bits[v] != b:
+                    if self.nodes >= _MEMO_CAP:
+                        return simplify(Diagram(self.quotient, bits))[0]
+                    node = self._split(node, parent, i, bits)
+                    break
+            if node[1] is None:
+                break
+            parent = node
+            node = node[3 + bits[node[1]]]
+        _, _, reduced, unread = node
         if not unread:
             return reduced
         leaf_bits = list(reduced.bits)
@@ -790,16 +832,37 @@ class _ShadowRecord:
             leaf_bits[i] = bits[v]
         return Diagram(reduced.shadow, tuple(leaf_bits))
 
-    def _node(self, state: _Mut) -> list:
-        """The node of a run that is ready to go on: run it to its next
-        pause or to its end."""
+    def _start(self) -> _Mut:
+        """The run with every bit unknown."""
+        return _Mut(Diagram(self.quotient, (None,) * len(self.keep)), self.shapes)
+
+    def _leaf(self, state: _Mut, bits: tuple) -> list:
+        """The leaf of a run that goes on from ``state`` to its end, reading
+        the unknown bits it meets from ``bits``."""
         self.nodes += 1
-        u = state.run()
-        if u is not None:
-            return [u, state, None, None]
+        state.run(bits)
         reduced, order = state.to_diagram()
         unread = [(i, order[i]) for i, b in enumerate(reduced.bits) if b is None]
-        return [None, reduced, unread]
+        return [state.log, None, reduced, unread]
+
+    def _split(self, node: list, parent, i: int, bits: tuple) -> list:
+        """Make ``node`` a branch on the ``i``-th read of its log, where
+        ``bits`` differ from it, and return the new leaf of ``bits``."""
+        log = node[0]
+        if parent is None:
+            state = self._start()
+        else:
+            u = parent[1]
+            state = parent[2].fork(u, bits[u])
+        for v, b in log[:i]:
+            state.bits[v] = b
+        v, b = log[i]
+        if state.run() != v:
+            raise InternalInvariantViolation("a re-run did not pause where its log parts")
+        rest = [log[i + 1:]] + node[1:]
+        leaf = self._leaf(state.fork(v, bits[v]), bits)
+        node[:] = [log[:i], v, state] + ([rest, leaf] if b == 0 else [leaf, rest])
+        return leaf
 
     def residue_class(self, reduced: Diagram, limit: int) -> KnotClass:
         """The class of a diagram the simplifier leaves: the unknot when it
@@ -850,9 +913,11 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     bits restricted to its vertices; removing a curl keeps the knot.  The
     last shadow classified keeps its record: verdicts memoized on the
     restricted bits, ``limit`` and ``riii_depth``, polynomials on the
-    reduced diagram, and one tree of greedy simplifier runs that its
-    diagrams walk down, so a diagram simplifies only from where its bits
-    first differ from an earlier one's.  Repeated verdicts cost a lookup.
+    reduced diagram, and one path-compressed tree of greedy simplifier runs.
+    A diagram follows the read logs of the tree's edges while its bits
+    agree with them, and simplifies only from the first logged read where
+    they differ, reading its own bits as the run meets them.  Repeated
+    verdicts cost a lookup.
     """
     rec = _shadow_record(diagram.shadow)
     bits = diagram.bits
@@ -868,7 +933,7 @@ def _census_walk(rec, state, limit, memo):
     bits of its live vertices on the reduced diagram, classified by
     ``residue_class``.  A run that pauses on bit ``u`` goes on with ``u``
     set to 0 in place and set to 1 on a fork, and the sum of the two is
-    memoized on ``state.key()`` (at most ``_MEMO_CAP`` entries), so the
+    memoized on ``state.key()`` (at most ``_CENSUS_CAP`` entries), so the
     branches that pause in one state share one walk: the tree of partial
     assignments becomes a DAG.
 
@@ -913,7 +978,7 @@ def _census_walk(rec, state, limit, memo):
                 if failure is None or worse[0] < failure[0]:
                     failure = worse
             hit = counts, failure
-            if len(memo) < _MEMO_CAP:
+            if len(memo) < _CENSUS_CAP:
                 memo[key] = hit
         counts, failure = hit
         left = key[1].count(None)      # the unknown live bits at the pause

@@ -623,7 +623,7 @@ def _tree_cases():
     and their plain verdicts at each of MEMO_SETTINGS."""
     rng = random.Random(53)
     groups = []
-    for s in _runner_shadows() + _braid_shadows(((4, 21),), 61):
+    for s in _runner_shadows() + _braid_shadows(((4, 21), (3, 30)), 61):
         diagrams = list(gn.generate_unknots(s).diagrams)
         diagrams += [iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
                      for _ in range(8)]
@@ -670,16 +670,20 @@ def test_tree_verdicts_equal_plain_verdicts(monkeypatch, cap):
 
 
 def _tree_size(node):
+    """The leaves of a classify tree: ``[log, None, reduced, unread]`` is
+    a leaf, ``[log, u, paused, child0, child1]`` a branch."""
     if node is None:
         return 0
-    if node[0] is None:
+    if node[1] is None:
         return 1
-    return 1 + _tree_size(node[2]) + _tree_size(node[3])
+    return _tree_size(node[3]) + _tree_size(node[4])
 
 
 def test_memos_stop_growing_at_the_cap():
+    # the tree fills at the 4,372nd assignment: below it some diagrams
+    # share a leaf, as they agree on every bit their run reads
     s = pm.cn(13)
-    for d in itertools.islice(iv.assignments(s), iv._MEMO_CAP + 64):
+    for d in itertools.islice(iv.assignments(s), iv._MEMO_CAP + 512):
         iv.classify(d)
     rec = iv._shadow_record(s)
     assert len(rec.verdicts) == iv._MEMO_CAP < 1 << s.n
@@ -753,6 +757,42 @@ def test_runner_stops_only_on_unknown_bits_and_forks_exactly():
     assert stops > 200
 
 
+def _pauses(state, full):
+    """The ``(vertex, bit)`` of each pause of a paused run fed ``full``."""
+    out = []
+    u = state.run()
+    while u is not None:
+        out.append((u, full[u]))
+        state.bits[u] = full[u]
+        u = state.run()
+    return out
+
+
+def test_reading_on_demand_equals_pausing():
+    # a run that takes each unknown bit from the diagram when a test meets
+    # it ends as simplify does, and its read log is the pause sequence of a
+    # paused run fed the same bits; half the runs start with every bit
+    # unknown, as classify's tree does, half with some bits set
+    rng = random.Random(71)
+    reads = 0
+    shadows = _runner_shadows() + _braid_shadows(((3, 24), (4, 21), (4, 25)), 61)
+    for s in shadows:
+        for trial in range(6):
+            full = tuple(rng.randrange(2) for _ in range(s.n))
+            known = [None if trial < 3 or rng.random() < 0.6 else b for b in full]
+            state = iv._Mut(iv.Diagram(s, tuple(known)), {} if trial % 2 else None)
+            pauses = _pauses(state.fork(0, known[0]), full)
+            assert state.run(full) is None
+            assert state.log == pauses, (s, full, known)
+            reads += len(pauses)
+            reduced, order = state.to_diagram()
+            bits = tuple(full[order[i]] if b is None else b
+                         for i, b in enumerate(reduced.bits))
+            got = (iv.Diagram(reduced.shadow, bits), state.moves)
+            assert got == iv.simplify(iv.Diagram(s, full)), (s, full, known)
+    assert reads > 1000
+
+
 def _braid_shadows(specs, seed):
     """Closed braids, one for each (strands, length) in ``specs``."""
     braid = _load_braid()
@@ -820,7 +860,7 @@ def test_census_merges_equal_paused_states(monkeypatch):
     s = pm.cn(11)
     forks = []
     pauses = []
-    real_fork, real_run, cap = iv._Mut.fork, iv._Mut.run, iv._MEMO_CAP
+    real_fork, real_run, cap = iv._Mut.fork, iv._Mut.run, iv._CENSUS_CAP
 
     def fork(self, v, bit):
         forks.append(v)
@@ -834,25 +874,42 @@ def test_census_merges_equal_paused_states(monkeypatch):
 
     monkeypatch.setattr(iv._Mut, "fork", fork)
     monkeypatch.setattr(iv._Mut, "run", run)
-    monkeypatch.setattr(iv, "_MEMO_CAP", 0)     # no memo: the walk is a tree
+    monkeypatch.setattr(iv, "_CENSUS_CAP", 0)   # no memo: the walk is a tree
     tree = iv.census(s, threads=1)
     assert len(forks) == len(pauses) == 1865
     distinct = len(set(pauses))
     assert distinct == 499
     forks.clear()
     pauses.clear()
-    monkeypatch.setattr(iv, "_MEMO_CAP", cap)
+    monkeypatch.setattr(iv, "_CENSUS_CAP", cap)
     assert iv.census(s, threads=1) == tree
     assert len(forks) <= distinct < len(pauses)
+
+
+@pytest.mark.parametrize("n, states", ((11, 499), (13, 1280)))
+def test_census_forks_once_per_distinct_paused_state(monkeypatch, n, states):
+    # the census memo has a bound of its own, so capping the classify memos
+    # below the number of distinct paused states leaves it merging them all
+    forks = []
+    real_fork = iv._Mut.fork
+
+    def fork(self, v, bit):
+        forks.append(v)
+        return real_fork(self, v, bit)
+
+    monkeypatch.setattr(iv._Mut, "fork", fork)
+    monkeypatch.setattr(iv, "_MEMO_CAP", 8)
+    iv.census(pm.cn(n), threads=1)
+    assert len(forks) == states
 
 
 @pytest.mark.parametrize("threads", (1, 2))
 def test_census_counts_do_not_depend_on_the_memo_cap(monkeypatch, threads):
     for s in (pm.cn(11), _fig8_cubed(), _curl_heavy_shadow()):
         got = []
-        for cap in (0, 8, iv._MEMO_CAP):
+        for cap in (0, 8, iv._CENSUS_CAP):
             with monkeypatch.context() as m:
-                m.setattr(iv, "_MEMO_CAP", cap)
+                m.setattr(iv, "_CENSUS_CAP", cap)
                 census = iv.census(s, threads=threads)
             got.append(list(census.items()))
         assert got[0] == got[1] == got[2]
