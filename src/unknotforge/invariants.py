@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -313,22 +314,39 @@ class _Mut:
         return new
 
     def key(self):
-        """Everything the rest of the run reads, so two states with equal
-        keys run to the same end on the same setting of their unknown bits.
+        """Everything the rest of the run reads, up to an order-keeping
+        relabelling of the live vertices, and the live vertices in order.
+        Two states with equal keys run to the same end on corresponding
+        settings of their unknown bits, the i-th live vertex of one standing
+        for the i-th of the other.
 
         A removed vertex's bit is never read again: ``_try_r1`` reads no
         bit, ``_try_r2`` and ``_try_type_a`` read bits of live vertices
         only, and a heap entry of a removed vertex is popped without a test.
         ``queued[v]`` holds exactly when ``v`` is in ``work``, and a min-heap
         of distinct vertices pops them in sorted order, so the sorted live
-        vertices in ``work`` fix the pops.  ``shapes`` and ``row`` cache
-        functions of the twin table; the census never reads ``moves``.
+        vertices in ``work`` fix the pops.  The moves compare vertices for
+        equality only, and the pops and the type-A scan go in vertex order,
+        so a relabelling that keeps the order keeps the run.  The key holds
+        the twin table renumbered as ``planemap.renumber`` does, the bits of
+        the live vertices, the ranks of the live vertices in ``work``,
+        ``scan`` as the number of live vertices below it, and
+        ``free_loops``.  ``shapes`` and ``row`` cache functions of the twin
+        table; the census never reads ``moves``.
         """
-        twin = self.twin
-        live = [v for v in range(len(self.queued)) if twin[4 * v] >= 0]
-        return (tuple(twin), tuple(self.bits[v] for v in live),
-                tuple(sorted(v for v in self.work if twin[4 * v] >= 0)),
-                self.scan, self.free_loops)
+        twin, bits, work = self.twin, self.bits, self.work
+        n = len(self.queued)
+        live = [v for v in range(n) if twin[4 * v] >= 0]
+        if len(live) == n:      # nothing removed: each vertex is its rank
+            return (tuple(twin), tuple(bits), tuple(sorted(work)), self.scan,
+                    self.free_loops), live
+        rank = [0] * n
+        for i, v in enumerate(live):
+            rank[v] = i
+        return (tuple([rank[t >> 2] << 2 | t & 3 for t in twin if t >= 0]),
+                tuple([bits[v] for v in live]),
+                tuple(sorted([rank[v] for v in work if twin[4 * v] >= 0])),
+                bisect_left(live, self.scan), self.free_loops), live
 
     def read(self, v):
         """The unknown bit of ``v``: set from ``source`` and logged, or
@@ -735,8 +753,8 @@ def reference_polynomials():
 _MEMO_CAP = 4096
 
 # the census memo of paused states stops growing at this many entries, about
-# 1.3 KB each at 17-19 crossings: cn(17) pauses in 8,497 distinct states and
-# cn(19) in 22,075 (29 MB)
+# 1.2 KB each at 17-19 crossings and 2.4 KB at 41: cn(19) pauses in 233
+# distinct relabelled states (0.3 MB) and cn(41) in 970 (2.4 MB)
 _CENSUS_CAP = 1 << 15
 
 
@@ -933,13 +951,18 @@ def _census_walk(rec, state, limit, memo):
     bits of its live vertices on the reduced diagram, classified by
     ``residue_class``.  A run that pauses on bit ``u`` goes on with ``u``
     set to 0 in place and set to 1 on a fork, and the sum of the two is
-    memoized on ``state.key()`` (at most ``_CENSUS_CAP`` entries), so the
-    branches that pause in one state share one walk: the tree of partial
-    assignments becomes a DAG.
+    memoized on the relabelled ``state.key()`` (at most ``_CENSUS_CAP``
+    entries), so the branches that pause in states of one shape share one
+    walk: the tree of partial assignments becomes a DAG, and a paused state
+    of a twist region depends on the bits read along its chain, not on the
+    labels of the crossings the run has removed.
 
     The failure is None or ``(bits set below this state, error)`` for the
     least assignment whose diagram is no knot, as enumeration in bit-vector
-    order would meet it first.
+    order would meet it first.  The memo holds its bits by rank among the
+    unknown live bits of the pause, and a hit maps them back to this
+    state's vertices; the relabelling keeps the order, so the least
+    assignment of one state is that of every state with its key.
     """
     twin, bits = state.twin, state.bits
     unknown = sum(1 for v, b in enumerate(bits) if b is None and twin[4 * v] >= 0)
@@ -963,7 +986,7 @@ def _census_walk(rec, state, limit, memo):
             counts[cls] = counts.get(cls, 0) + 1
         left = len(free)
     else:
-        key = state.key()
+        key, live = state.key()
         hit = memo.get(key)
         if hit is None:
             one = state.fork(u, 1)
@@ -977,14 +1000,26 @@ def _census_walk(rec, state, limit, memo):
                 worse = (worse[0] + (1 << u), worse[1])
                 if failure is None or worse[0] < failure[0]:
                     failure = worse
-            hit = counts, failure
             if len(memo) < _CENSUS_CAP:
-                memo[key] = hit
-        counts, failure = hit
+                memo[key] = counts, failure and _by_rank(failure, key, live, False)
+        else:
+            counts, failure = hit
+            if failure is not None:
+                failure = _by_rank(failure, key, live, True)
         left = key[1].count(None)      # the unknown live bits at the pause
     if unknown > left:
         counts = {cls: k << (unknown - left) for cls, k in counts.items()}
     return counts, failure
+
+
+def _by_rank(failure, key, live, back):
+    """A census failure with its bits moved from the unknown live vertices
+    of the paused state to their ranks among them; with ``back``, from the
+    ranks to the vertices."""
+    free = [v for v, b in zip(live, key[1]) if b is None]
+    src, dst = (range(len(free)), free) if back else (free, range(len(free)))
+    mask, error = failure
+    return sum(1 << d for s, d in zip(src, dst) if mask >> s & 1), error
 
 
 def _census_chunk(args):
@@ -1015,7 +1050,8 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1):
     classified, each standing for the 2^(n - q) diagrams that differ from
     it at curls only, and they are classified by one walk of the greedy
     simplifier over a tree of partial assignments whose branches that pause
-    in the same state are walked once (``_census_walk``).  A process pool
+    in states equal up to an order-keeping relabelling are walked once
+    (``_census_walk``).  A process pool
     splits the walk at its highest quotient bits, each part with a memo of
     its own; it has ``threads`` workers (0: eight), at most one per CPU and
     one per job.

@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -869,7 +870,7 @@ def test_census_merges_equal_paused_states(monkeypatch):
     def run(self):
         u = real_run(self)
         if u is not None:
-            pauses.append(self.key())
+            pauses.append(self.key()[0])
         return u
 
     monkeypatch.setattr(iv._Mut, "fork", fork)
@@ -878,7 +879,7 @@ def test_census_merges_equal_paused_states(monkeypatch):
     tree = iv.census(s, threads=1)
     assert len(forks) == len(pauses) == 1865
     distinct = len(set(pauses))
-    assert distinct == 499
+    assert distinct == 85
     forks.clear()
     pauses.clear()
     monkeypatch.setattr(iv, "_CENSUS_CAP", cap)
@@ -886,7 +887,7 @@ def test_census_merges_equal_paused_states(monkeypatch):
     assert len(forks) <= distinct < len(pauses)
 
 
-@pytest.mark.parametrize("n, states", ((11, 499), (13, 1280)))
+@pytest.mark.parametrize("n, states", ((11, 85), (13, 116)))
 def test_census_forks_once_per_distinct_paused_state(monkeypatch, n, states):
     # the census memo has a bound of its own, so capping the classify memos
     # below the number of distinct paused states leaves it merging them all
@@ -901,6 +902,29 @@ def test_census_forks_once_per_distinct_paused_state(monkeypatch, n, states):
     monkeypatch.setattr(iv, "_MEMO_CAP", 8)
     iv.census(pm.cn(n), threads=1)
     assert len(forks) == states
+
+
+def test_census_of_a_twist_chain_meets_the_closed_form(monkeypatch):
+    # cn(n) is the (2, k) torus knot for k the signed count of its
+    # crossings, an unknot exactly when |k| = 1: C(n + 1, (n + 1) / 2) of
+    # the 2^n diagrams.  A paused run is fixed by the signed count of the
+    # crossings read so far and the number still unknown, so the relabelled
+    # keys leave (n^2 + 7n - 28) / 2 distinct paused states, one fork each
+    forks = []
+    real_fork = iv._Mut.fork
+
+    def fork(self, v, bit):
+        forks.append(v)
+        return real_fork(self, v, bit)
+
+    monkeypatch.setattr(iv._Mut, "fork", fork)
+    for n in (15, 21, 31, 41):
+        forks.clear()
+        census = iv.census(pm.cn(n), limit=n, threads=1)
+        assert iv.unknot_count(census) == math.comb(n + 1, (n + 1) // 2)
+        assert sum(census.values()) == 1 << n
+        assert len(forks) == (n * n + 7 * n - 28) // 2
+    assert len(forks) == 970
 
 
 @pytest.mark.parametrize("threads", (1, 2))
@@ -932,32 +956,46 @@ def _paused_states(shadow):
     return out
 
 
+def _reference_key(state):
+    """``_Mut.key`` built from ``planemap.renumber`` and a rank table."""
+    twin, order = pm.renumber(state.twin)
+    rank = {v: i for i, v in enumerate(order)}
+    return ((twin, tuple(state.bits[v] for v in order),
+             tuple(sorted(rank[v] for v in state.work if v in rank)),
+             sum(v < state.scan for v in order), state.free_loops), list(order))
+
+
 def test_census_keys_are_sound():
     # runs paused with equal keys end equal once their unknown live bits
-    # are set alike; unknown bits of removed vertices are set at random
+    # are set alike, by the rank of the live vertex; unknown bits of removed
+    # vertices are set at random.  The states of all the shadows share one
+    # table, so keys are compared across shadows too
     rng = random.Random(53)
     f8 = pm.standard_figure8()
-    shared = 0
-    for s in (pm.cn(9), pm.connected_sum(f8, f8), pm.random_shadow(10, 16)):
-        groups = {}
+    groups = {}
+    for s in (pm.cn(9), pm.connected_sum(f8, f8), pm.random_shadow(10, 16),
+              pm.random_shadow(10, 5), pm.random_shadow(9, 5)):
         for state in _paused_states(s):
-            groups.setdefault(state.key(), []).append(state)
-        for states in groups.values():
-            if len(states) < 2:
-                continue
-            shared += len(states) - 1
-            for _ in range(4):
-                fill = [rng.randrange(2) for _ in range(s.n)]
-                ends = set()
-                for state in states:
-                    state = state.fork(0, state.bits[0])    # a copy
-                    live = [state.twin[4 * v] >= 0 for v in range(s.n)]
-                    state.bits[:] = [b if b is not None else
-                                     fill[v] if live[v] else rng.randrange(2)
-                                     for v, b in enumerate(state.bits)]
-                    assert state.run() is None
-                    ends.add(state.to_diagram()[0])
-                assert len(ends) == 1, s
+            key, live = state.key()
+            assert (key, live) == _reference_key(state)
+            groups.setdefault(key, []).append((state, live))
+    shared = 0
+    for states in groups.values():
+        if len(states) < 2:
+            continue
+        shared += len(states) - 1
+        for _ in range(4):
+            fill = [rng.randrange(2) for _ in range(10)]
+            ends = set()
+            for state, live in states:
+                state = state.fork(0, state.bits[0])    # a copy
+                rank = {v: i for i, v in enumerate(live)}
+                state.bits[:] = [b if b is not None else
+                                 fill[rank[v]] if v in rank else rng.randrange(2)
+                                 for v, b in enumerate(state.bits)]
+                assert state.run() is None
+                ends.add(state.to_diagram()[0])
+            assert len(ends) == 1, states[0][0].twin
     assert shared > 100
 
 
@@ -1000,6 +1038,32 @@ def test_census_raises_for_the_least_failing_assignment(monkeypatch, threads):
         with pytest.raises(PreconditionViolated) as e:
             iv.census(s, threads=threads)
         assert str(e.value) == message
+
+
+def test_census_walk_returns_the_least_failure_mask(monkeypatch):
+    # a memo hit maps the stored failure from ranks back to its own
+    # vertices: the walk with the memo returns the bits of the tree walk
+    # without it, and both name the least failing quotient assignment
+    _trefoil_left_raises(monkeypatch)
+    for s in (pm.cn(9), pm.cn(11), pm.random_shadow(14, 16)):
+        rec = iv._shadow_record(s)
+        q = len(rec.keep)
+        got = []
+        for cap in (0, iv._CENSUS_CAP):
+            monkeypatch.setattr(iv, "_CENSUS_CAP", cap)
+            state = iv._Mut(iv.Diagram(rec.quotient, (None,) * q), shapes={})
+            _, (mask, error) = iv._census_walk(rec, state, iv.DEFAULT_LIMIT, {})
+            got.append((mask, str(error)))
+        assert got[0] == got[1], s
+        least = None
+        for k in range(1 << q):
+            try:
+                iv.classify(iv.Diagram(rec.quotient,
+                                       tuple((k >> i) & 1 for i in range(q))))
+            except PreconditionViolated as e:
+                least = (k, str(e))
+                break
+        assert got[0] == least, s
 
 
 @pytest.mark.parametrize("k", (4, 6))
