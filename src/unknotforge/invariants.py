@@ -4,9 +4,13 @@ A diagram is a shadow plus one bit per vertex: bit 0 puts the strand through
 slots {0,2} on top, bit 1 the strand through {1,3}.  The bracket is an exact
 integer Laurent polynomial in the smoothing variable, summed by a scan line
 that adds crossings one at a time and keeps one table per matching of the
-open strand ends, not by enumerating all 2^n smoothings; the writhe-normalized
-form is invariant under all Reidemeister moves and is used, together with a
-greedy move-based simplifier, to classify diagrams at desk scale.
+open strand ends, not by enumerating all 2^n smoothings.  The matchings and
+their transitions depend on the shadow alone, so the scan is compiled once
+per shadow into a plan, and a diagram's bits only choose which smoothing of
+each crossing is weighted A; plans and writhe signs are kept with the record
+of the shadow being classified.  The writhe-normalized form is invariant
+under all Reidemeister moves and is used, together with a greedy move-based
+simplifier, to classify diagrams at desk scale.
 """
 
 from __future__ import annotations
@@ -62,14 +66,6 @@ class LaurentPoly:
                 acc[k] = acc.get(k, 0) + c1 * c2
         return LaurentPoly(acc)
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        out = LaurentPoly({0: 1})
-        for _ in range(k):
-            out = out * self
-        return out
-
     def invert_variable(self):
         """Substitute the variable by its reciprocal."""
         return LaurentPoly({-e: c for e, c in self.terms})
@@ -91,7 +87,6 @@ class LaurentPoly:
 
 
 ONE = LaurentPoly({0: 1})
-DELTA = LaurentPoly({2: -1, -2: -1})          # loop value
 
 
 def _minus_a_cubed_power(k: int) -> LaurentPoly:
@@ -166,32 +161,41 @@ def assignments(shadow: pm.Shadow):
 # ---------------------------------------------------------------------------
 
 def writhe(diagram: Diagram) -> int:
-    """Sum of crossing signs, oriented along the walk from dart 0."""
-    shadow = diagram.shadow
-    if shadow.n == 0:
-        return 0
+    """Sum of crossing signs, oriented along the walk from dart 0.
+
+    The signs at bit 0 are a function of the shadow (bit 1 negates a sign),
+    taken once per shadow and kept with the shadow record, as the bracket
+    plans are."""
+    signs = _per_shadow("signs", _writhe_signs, diagram.shadow)
+    return sum(s if b == 0 else -s for s, b in zip(signs, diagram.bits))
+
+
+def _writhe_signs(shadow: pm.Shadow) -> list:
+    """The sign of each vertex at bit 0, along the walk from dart 0."""
     walk = pm.eulerian_walk(shadow)
     in_slots = {}
-    total = 0
     for k, exit_dart in enumerate(walk.darts):
         in_dart = shadow.twin[walk.darts[k - 1]]
-        v = pm.vertex_of(exit_dart)
-        in_slots.setdefault(v, []).append(pm.slot_of(in_dart))
+        in_slots.setdefault(pm.vertex_of(exit_dart), []).append(pm.slot_of(in_dart))
+    signs = [0] * shadow.n
     for v, (s1, s2) in in_slots.items():
-        over_first = (s1 & 1) == diagram.bits[v]
-        o, u = (s1, s2) if over_first else (s2, s1)
-        total += 1 if (u - o) % 4 == 3 else -1
-    return total
+        o, u = (s1, s2) if s1 & 1 == 0 else (s2, s1)
+        signs[v] = 1 if (u - o) % 4 == 3 else -1
+    return signs
 
 
 def kauffman_bracket(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPoly:
     """Scan-line sum over all smoothings; exact integer coefficients.
 
-    Vertices are added one at a time, next the one with the most darts
-    already joined to added ones (ties to the lowest index).  An open end
-    is a dart of an added vertex whose twin is not added yet; a state is
-    the perfect matching of the open ends made by the smoothings chosen so
-    far, weighted by a table (a - b, closed loops) -> count.
+    The scan depends on the shadow alone: ``_bracket_plan`` takes it once
+    per shadow, kept with the shadow record, and the bits only decide which
+    of a vertex's two smoothings is weighted A and which A^-1.  A diagram
+    carries one weight table per state through the plan's rows.  A table
+    counts the smoothings by (A-smoothings ``a``, closed loops), packed
+    into one integer: slot ``a + (n + 1) * loops`` of ``width`` bits.  A
+    count is at most 2^n and a state has at most 2n loops, so the slots
+    also hold the signed coefficients of the finish, a Horner sum in the
+    loop value.
     """
     n = diagram.n
     if n > limit:
@@ -199,10 +203,63 @@ def kauffman_bracket(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPol
     free = diagram.shadow.free_loops
     if n == 0 and free == 0:
         raise PreconditionViolated("the bracket of an empty diagram is undefined")
-    twin = diagram.shadow.twin
+    bits = diagram.bits
+    width = 3 * n + free + 2
+    level = (n + 1) * width             # the offset of one more closed loop
+    tables = [1]
+    for v, rows, size in _per_shadow("plans", _bracket_plan, diagram.shadow):
+        a = 0 if bits[v] else width     # bit 0 weights the even smoothing A
+        b = width - a
+        nxt = [0] * size
+        for (i, ci, j, cj), t in zip(rows, tables):
+            nxt[i] += t << ci * level + a
+            nxt[j] += t << cj * level + b
+        tables = nxt
+    # The bracket sums count(a, loops) A^(2a - n) d^m over the table, with
+    # m = loops + free - 1 and d = -(u^2 + 1) / u the loop value in u = A^2.
+    # Horner's rule in d gives h(u) = u^top * sum of q_m(u) d^m, where
+    # q_m(u) = sum of count(a, loops) u^a and top is the greatest m, so the
+    # slot k of h holds the coefficient of A^(2k - n - 2 top).
+    t = tables[0]
+    top = (t.bit_length() - 1) // level + free - 1
+    block = (1 << level) - 1
+    h = 0
+    for m in range(top, -1, -1):
+        h = -(h + (h << 2 * width))
+        if m >= free - 1:
+            h += (t >> (m - free + 1) * level & block) << (top - m) * width
+    acc = {}
+    e = -n - 2 * top
+    while h:
+        c = h & (1 << width) - 1
+        if c >> width - 1:
+            c -= 1 << width
+        if c:
+            acc[e] = c
+        h = (h - c) >> width
+        e += 2
+    return LaurentPoly(acc)
+
+
+def _bracket_plan(shadow: pm.Shadow) -> list:
+    """The bit-free scan of the bracket: one ``(v, rows, size)`` a step.
+
+    Vertices are added one at a time, next the one with the most darts
+    already joined to added ones (ties to the lowest index).  An open end
+    is a dart of an added vertex whose twin is not added yet; a state is
+    the perfect matching of the open ends made by the smoothings chosen so
+    far, a tuple with the partner of each open end and -1 elsewhere.
+    Adding ``v`` takes state ``k`` to ``rows[k] = (i, ci, j, cj)``: the
+    smoothing that pairs slots {0,1},{2,3} to state ``i`` of the ``size``
+    next ones, closing ``ci`` loops, and the one that pairs {0,3},{1,2} to
+    state ``j``, closing ``cj``.
+    """
+    n = shadow.n
+    twin = shadow.twin
     joined = [0] * n
     todo = set(range(n))
-    states = {(): {(0, 0): 1}}
+    states = {(-1,) * 4 * n: 0}
+    steps = []
     for _ in range(n):
         v = max(todo, key=lambda u: (joined[u], -u))
         todo.discard(v)
@@ -214,41 +271,29 @@ def kauffman_bracket(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPol
                 joined[t >> 2] += 1
             elif t >> 2 != v or d < t:
                 glue.append((d, t))
-        # A-smoothing pairs slots {0,1},{2,3} when bit 0 puts {0,2} on top
-        even = ((base, base + 1), (base + 2, base + 3))
-        odd = ((base, base + 3), (base + 1, base + 2))
-        smoothings = ((1, even), (-1, odd)) if diagram.bits[v] == 0 \
-            else ((1, odd), (-1, even))
         nxt = {}
-        for match, table in states.items():
-            for sign, pairs in smoothings:
-                p = dict(match)
-                for x, y in pairs:
-                    p[x] = y
-                    p[y] = x
+        rows = []
+        for match in states:
+            row = []
+            for x0, y0, x1, y1 in ((base, base + 1, base + 2, base + 3),
+                                   (base, base + 3, base + 1, base + 2)):
+                p = list(match)
+                p[x0], p[y0], p[x1], p[y1] = y0, x0, y1, x1
                 closed = 0
                 for d, t in glue:
-                    x = p.pop(d)
+                    x = p[d]
                     if x == t:      # both ends of one path: a closed loop
-                        del p[t]
                         closed += 1
                     else:
-                        y = p.pop(t)
+                        y = p[t]
                         p[x] = y
                         p[y] = x
-                out = nxt.setdefault(tuple(sorted(p.items())), {})
-                for (w, loops), c in table.items():
-                    k = (w + sign, loops + closed)
-                    out[k] = out.get(k, 0) + c
+                    p[d] = p[t] = -1
+                row += (nxt.setdefault(tuple(p), len(nxt)), closed)
+            rows.append(tuple(row))
+        steps.append((v, rows, len(nxt)))
         states = nxt
-    acc = {}
-    delta_pows = [ONE]
-    for (w, loops), c in states[()].items():
-        while len(delta_pows) < loops + free:
-            delta_pows.append(delta_pows[-1] * DELTA)
-        for e, k in delta_pows[loops + free - 1].terms:
-            acc[e + w] = acc.get(e + w, 0) + c * k
-    return LaurentPoly(acc)
+    return steps
 
 
 def normalized_poly(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPoly:
@@ -786,10 +831,17 @@ class _ShadowRecord:
     has one leaf per run that reached an end, and it branches only where
     two of its diagrams part.  It does not depend on ``limit`` or
     ``riii_depth`` and stops growing at ``_MEMO_CAP`` leaves.
+
+    ``plans`` and ``signs`` hold the bracket plan and the writhe signs of
+    each shadow whose bracket or writhe is taken while this is the current
+    record, the residues' shadows above all, keyed on the twin table: the
+    diagrams of one residue shadow differ only in their bits.  Each stops
+    growing at ``_MEMO_CAP`` shadows, and both go when a new record
+    replaces this one, so no plan outlives the shadow being classified.
     """
 
     __slots__ = ("shadow", "quotient", "keep", "verdicts", "residues",
-                 "shapes", "root", "nodes")
+                 "shapes", "root", "nodes", "plans", "signs")
 
     def __init__(self, shadow: pm.Shadow):
         state = _Mut(Diagram(shadow, (0,) * shadow.n))
@@ -808,6 +860,8 @@ class _ShadowRecord:
         self.shapes = {}
         self.root = None
         self.nodes = 0
+        self.plans = {}
+        self.signs = {}
 
     def verdict(self, bits: tuple, limit: int, riii_depth: int) -> KnotClass:
         """The class of the quotient diagram with these bits: that of its
@@ -914,6 +968,20 @@ def _shadow_record(shadow: pm.Shadow) -> _ShadowRecord:
     if _record is None or (_record.shadow is not shadow and _record.shadow != shadow):
         _record = _ShadowRecord(shadow)
     return _record
+
+
+def _per_shadow(memo: str, build, shadow: pm.Shadow):
+    """``build(shadow)``, kept in the ``memo`` table of the current shadow
+    record, keyed on the twin table; built afresh when there is no record."""
+    if _record is None:
+        return build(shadow)
+    table = getattr(_record, memo)
+    out = table.get(shadow.twin)
+    if out is None:
+        out = build(shadow)
+        if len(table) < _MEMO_CAP:
+            table[shadow.twin] = out
+    return out
 
 
 def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,

@@ -28,6 +28,7 @@ from unknotforge.invariants import LaurentPoly
 
 def oracle_bracket(diagram):
     """Brute-force bracket with an unrelated loop counter."""
+    delta = LaurentPoly({2: -1, -2: -1})          # the loop value
     shadow = diagram.shadow
     n = shadow.n
     acc = {}
@@ -61,7 +62,10 @@ def oracle_bracket(diagram):
         if n == 0:
             loops = shadow.free_loops
         expo = 2 * a - n
-        for e, c in (iv.DELTA ** (loops - 1)).terms:
+        power = LaurentPoly({0: 1})
+        for _ in range(loops - 1):
+            power = power * delta
+        for e, c in power.terms:
             acc[e + expo] = acc.get(e + expo, 0) + c
     return LaurentPoly(acc)
 
@@ -130,6 +134,108 @@ def test_bracket_limit():
     s = pm.random_shadow(6, 3)
     with pytest.raises(LimitExceeded):
         iv.kauffman_bracket(iv.Diagram(s, (0,) * 6), limit=5)
+
+
+def walk_writhe(diagram):
+    """Writhe from the walk from dart 0, read afresh on every call."""
+    shadow = diagram.shadow
+    if shadow.n == 0:
+        return 0
+    walk = pm.eulerian_walk(shadow)
+    in_slots = {}
+    for k, exit_dart in enumerate(walk.darts):
+        in_dart = shadow.twin[walk.darts[k - 1]]
+        in_slots.setdefault(pm.vertex_of(exit_dart), []).append(pm.slot_of(in_dart))
+    total = 0
+    for v, (s1, s2) in in_slots.items():
+        o, u = (s1, s2) if (s1 & 1) == diagram.bits[v] else (s2, s1)
+        total += 1 if (u - o) % 4 == 3 else -1
+    return total
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of an ``iv`` function, by its argument's twin table."""
+    calls = []
+    real = getattr(iv, name)
+
+    def counted(shadow):
+        calls.append(shadow.twin)
+        return real(shadow)
+
+    monkeypatch.setattr(iv, name, counted)
+    return calls
+
+
+def test_warm_plans_give_the_oracle_bracket_on_every_assignment(monkeypatch):
+    # each shadow's plan and signs are taken once, on its first diagram, and
+    # every later assignment is evaluated on them
+    figure8 = pm.standard_figure8()
+    shadows = [pm.one_vertex(), pm.cn(5), pm.Shadow(figure8.n, figure8.twin, 2),
+               pm.connected_sum(figure8, figure8), doubled_ring_link(3)]
+    monkeypatch.setattr(iv, "_record", None)
+    plans = _counting(monkeypatch, "_bracket_plan")
+    signs = _counting(monkeypatch, "_writhe_signs")
+    seen = 0
+    for s in shadows:
+        rec = iv._shadow_record(s)
+        for d in iv.assignments(s):
+            assert iv.kauffman_bracket(d) == oracle_bracket(d), (s, d.bits)
+            try:
+                want = walk_writhe(d)
+            except ShadowError as e:
+                want = type(e)
+            try:
+                got = iv.writhe(d)
+            except ShadowError as e:
+                got = type(e)
+            assert got == want, (s, d.bits)
+            seen += 1
+        assert plans.count(s.twin) == 1 and list(rec.plans) == [s.twin]
+        if s.twin in rec.signs:             # a knot shadow: signs taken once
+            assert signs.count(s.twin) == 1
+        else:                               # a link has no walk: it raises
+            assert signs.count(s.twin) == 1 << s.n
+    assert seen == 2 + 32 + 16 + 256 + 8
+
+
+def test_plans_live_with_the_shadow_record(monkeypatch):
+    monkeypatch.setattr(iv, "_record", None)
+    plans = _counting(monkeypatch, "_bracket_plan")
+    with pytest.raises(LimitExceeded):      # before any plan is taken
+        iv.kauffman_bracket(iv.Diagram(pm.cn(5), (0,) * 5), limit=4)
+    assert plans == []
+    # with no record, every call takes its plan afresh
+    a, b = pm.cn(5), pm.random_shadow(5, 3)
+    assert a.n == b.n and a.twin != b.twin
+    diagrams = [iv.Diagram(s, bits) for s in (a, b, a, b)
+                for bits in ((0, 1, 1, 0, 1), (1, 1, 0, 0, 0))]
+    for d in diagrams:
+        assert iv.kauffman_bracket(d) == oracle_bracket(d)
+    assert len(plans) == len(diagrams)
+    # equal n, twin tables apart: two plans, never one for both
+    rec = iv._shadow_record(pm.cn(7))
+    plans.clear()
+    for d in diagrams:
+        assert iv.kauffman_bracket(d) == oracle_bracket(d)
+        assert iv.writhe(d) == walk_writhe(d)
+    assert plans == [a.twin, b.twin]
+    assert set(rec.plans) == set(rec.signs) == {a.twin, b.twin}
+    assert rec.plans[a.twin] is not rec.plans[b.twin]
+    # a new record starts without plans; the old one's go with it
+    new = iv._shadow_record(b)
+    assert new is not rec and iv._record is new
+    assert new.plans == {} and new.signs == {}
+    iv.kauffman_bracket(diagrams[2])
+    assert list(new.plans) == [b.twin]
+    # past the cap, a plan is taken but not kept
+    monkeypatch.setattr(iv, "_MEMO_CAP", 3)
+    shadows = [pm.random_shadow(6, seed) for seed in range(6)]
+    for s in shadows:
+        for bits in ((0,) * 6, (1, 0) * 3):
+            d = iv.Diagram(s, bits)
+            assert iv.kauffman_bracket(d) == oracle_bracket(d)
+            assert iv.writhe(d) == walk_writhe(d)
+    assert len(new.plans) == len(new.signs) == 3
 
 
 # ---------------------------------------------------------------------------
