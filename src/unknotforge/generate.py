@@ -11,6 +11,7 @@ diagram the simplifier clears, independently of the polynomial oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
@@ -78,6 +79,17 @@ def all_descending_diagrams(shadow: pm.Shadow):
 # Certificate moves
 # ---------------------------------------------------------------------------
 
+def _picker(indices):
+    """``seq`` -> the tuple of ``seq[i]`` over ``indices``.  ``itemgetter`` of
+    one index returns the item, not a tuple, and takes no zero indices, so
+    those cases slice the sequence."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(slice(0, 0))
+
+
 @dataclass(frozen=True)
 class Restrict:
     """One certificate move: check required bits, keep the survivors' bits.
@@ -93,43 +105,46 @@ class Restrict:
     child_to_parent: tuple
     bigon: frozenset | None = None
 
-    def apply(self, diagram: iv.Diagram) -> iv.Diagram:
-        """The diagram restricted to ``child``; InternalInvariantViolation
-        when a wanted bit or the bigon face is missing."""
-        bits = diagram.bits
-        for v, b in self.want:
-            if bits[v] != b:
-                raise InternalInvariantViolation(
-                    f"replay: vertex {v} needs bit {b}")
+    def apply(self, shadow: pm.Shadow, bits: tuple) -> tuple:
+        """The survivors' bits, in ``child`` order, of ``bits`` on ``shadow``;
+        InternalInvariantViolation when a wanted bit or the bigon face is
+        missing."""
+        pick, wanted = self._wanted
+        if pick(bits) != wanted:
+            for v, b in self.want:
+                if bits[v] != b:
+                    raise InternalInvariantViolation(f"replay: vertex {v} needs bit {b}")
         if self.bigon is not None:
-            shadow = diagram.shadow
             if not any(len(f) == 2 and {shadow.edge_id(d) for d in f} == self.bigon
                        for f in pm.faces(shadow)):
                 raise InternalInvariantViolation("split digon is not a bigon face")
-        return iv.Diagram(self.child, self._survivors(bits))
+        return self._survivors(bits)
+
+    @cached_property
+    def _wanted(self):
+        """The picker of the wanted vertices, and their wanted bits."""
+        return _picker([v for v, _ in self.want]), tuple(b for _, b in self.want)
 
     @cached_property
     def _survivors(self):
-        """``bits`` -> the tuple of ``bits[pv]`` over ``child_to_parent``.
-        ``itemgetter`` of one index returns the item, not a tuple, and takes
-        no zero indices, so those cases slice the bit tuple."""
-        keep = self.child_to_parent
-        if len(keep) > 1:
-            return itemgetter(*keep)
-        if keep:
-            return itemgetter(slice(keep[0], keep[0] + 1))
-        return itemgetter(slice(0, 0))
+        return _picker(self.child_to_parent)
 
-    def lift(self, child_bits) -> tuple:
-        """The parent bits that this move restricts to ``child_bits``."""
-        bits = [None] * (len(self.want) + len(self.child_to_parent))
+    @cached_property
+    def _lift(self):
+        """The picker of the parent bits from the child bits followed by the
+        wanted bits."""
+        source = [None] * (len(self.want) + len(self.child_to_parent))
         for cv, pv in enumerate(self.child_to_parent):
-            bits[pv] = child_bits[cv]
-        for v, b in self.want:
-            bits[v] = b
-        if None in bits:
+            source[pv] = cv
+        for j, (v, _) in enumerate(self.want, len(self.child_to_parent)):
+            source[v] = j
+        if None in source:
             raise InternalInvariantViolation("move leaves parent bits unset")
-        return tuple(bits)
+        return _picker(source)
+
+    def lift(self, child_bits: tuple) -> tuple:
+        """The parent bits that this move restricts to ``child_bits``."""
+        return self._lift(child_bits + self._wanted[1])
 
 
 def _cycle_move(step: dc.QuotientStep, side: str, root_bit: int) -> Restrict:
@@ -166,22 +181,44 @@ def lift_over_cycle(diagram: iv.Diagram, step: dc.QuotientStep, side: str,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Level:
+    """One factor of a generated family: its options, and the stride of
+    their digit in the output index.  Output i takes ``options[i // stride
+    % len(options)]``."""
+
+    options: tuple
+    stride: int
+
+
+@dataclass(frozen=True)
 class GenerationResult:
-    """Deduplicated diagrams plus one certificate (a tuple of moves,
-    outermost first) per diagram.  ``generate_unknots`` keeps the greedy
-    cycle decomposition it chose the route by, for every method."""
+    """A deduplicated family of diagrams, kept as its product of levels.
+
+    ``levels`` holds the move levels, outermost first, then the base level,
+    the assignments of the innermost shadow.  Output i takes one option of
+    each level by its digit (``Level``); its certificate is the moves it
+    takes, and its diagram, ``diagrams[i]``, is its base lifted back through
+    them.  ``count`` is the product of the level sizes.  ``generate_unknots``
+    keeps the greedy cycle decomposition it chose the route by, for every
+    method.  ``replayed`` is the replay memo of this result alone
+    (``replay_certificate``); a ``replace`` copy starts with an empty one."""
 
     shadow: pm.Shadow
     method: str
     diagrams: tuple
-    certificates: tuple
+    levels: tuple
     bound: int
     decomposition: dc.CycleDecomposition | None = None
     replayed: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
-        return len(self.diagrams)
+        return math.prod(len(level.options) for level in self.levels)
+
+    def certificate(self, index: int) -> tuple:
+        """Output ``index``'s moves, outermost first."""
+        return tuple(level.options[index // level.stride % len(level.options)]
+                     for level in self.levels[:-1])
 
     @property
     def bound_satisfied(self) -> bool:
@@ -200,8 +237,31 @@ class GenerationResult:
             "bound": self.bound,
             "bound_satisfied": self.bound_satisfied,
             "diagrams": ["".join(map(str, d.bits)) for d in self.diagrams],
-            "certificates": {"kind": self.method, "entries": len(self.certificates)},
+            "certificates": {"kind": self.method, "entries": self.count},
         }
+
+
+def _family(shadow, method, options, outermost_fastest, bound, collided):
+    """The family whose levels hold ``options``: move lists, outermost first,
+    then the base assignments.  The outermost level's digit varies fastest
+    in the output index, or slowest.  The outputs are lifted from the bases
+    one level at a time, so outputs that take the same inner options share
+    their lift up to there; ``collided`` is raised when two outputs have
+    the same bits."""
+    sizes = [len(o) for o in options]
+    strides = [math.prod(sizes[:k]) if outermost_fastest else math.prod(sizes[k + 1:])
+               for k in range(len(sizes))]
+    *moves, lifted = options
+    for level_moves in reversed(moves):
+        if outermost_fastest:
+            lifted = [m.lift(bits) for bits in lifted for m in level_moves]
+        else:
+            lifted = [m.lift(bits) for m in level_moves for bits in lifted]
+    if len(set(lifted)) != len(lifted):
+        raise InternalInvariantViolation(collided)
+    return GenerationResult(shadow, method,
+                            tuple(iv.Diagram(shadow, bits) for bits in lifted),
+                            tuple(map(Level, map(tuple, options), strides)), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -214,38 +274,21 @@ def gen_by_cycle_decomposition(shadow: pm.Shadow,
     """All lift combinations backward through a cycle decomposition.
 
     Output size is exactly the product of per-step factors: 2 for one-vertex
-    cycles, 4 otherwise; with p-1 singleton steps that is 2^n.
+    cycles, 4 otherwise; with p-1 singleton steps that is 2^n.  Each step is
+    a level, and the first step's digit varies slowest.
     """
     if dec is None:
         dec = dc.greedy_cycle_decomposition(shadow)
     if dec.shadow != shadow:
         raise PreconditionViolated("decomposition belongs to a different shadow")
-    # compose vertex maps: step i lives on shadow S_i; push names up to S
-    to_top = []
-    cur = {v: v for v in range(shadow.n)}
-    for step in dec.steps:
-        to_top.append(dict(cur))
-        cur = {cv: cur[pv] for cv, pv in enumerate(step.child_to_parent)}
+    if (dec.steps[-1].child if dec.steps else shadow).n:
+        raise InternalInvariantViolation("cycle steps do not cover all vertices")
     moves = []
-    top_wants = []
-    for step, up in zip(dec.steps, to_top):
+    for step in dec.steps:
         sides = (pm.OVER, pm.UNDER) if len(step.c_slots) > 1 else (pm.OVER,)
-        step_moves = [_cycle_move(step, side, rb) for side in sides for rb in (0, 1)]
-        moves.append(step_moves)
-        top_wants.append([tuple((up[v], b) for v, b in m.want) for m in step_moves])
-    diagrams = []
-    for combo in itertools.product(*top_wants):
-        bits = [None] * shadow.n
-        for want in combo:
-            for v, b in want:
-                bits[v] = b
-        if None in bits:
-            raise InternalInvariantViolation("cycle steps do not cover all vertices")
-        diagrams.append(iv.Diagram(shadow, tuple(bits)))
-    certs = tuple(itertools.product(*moves))
-    if len({d.bits for d in diagrams}) != len(certs):
-        raise InternalInvariantViolation("lift combinations collided")
-    return GenerationResult(shadow, "cycles", tuple(diagrams), certs, bound)
+        moves.append([_cycle_move(step, side, rb) for side in sides for rb in (0, 1)])
+    return _family(shadow, "cycles", moves + [[()]], False, bound,
+                   "lift combinations collided")
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +348,9 @@ def gen_by_digons(shadow: pm.Shadow, pair: dc.SharedCyclePair,
         bases = [()]
         steps.append([_even_extension(t_shadow, pair, overlay)])
 
-    # lift bottom up; each split doubles every assignment
-    lifted = [(bits, ()) for bits in bases]
-    for options in reversed(steps + splits):
-        lifted = [(m.lift(bits), (m,) + cert)
-                  for bits, cert in lifted for m in options]
-    diagrams = tuple(iv.Diagram(shadow, bits) for bits, _ in lifted)
-    if len({d.bits for d in diagrams}) != len(diagrams):
-        raise InternalInvariantViolation("digon lifts collided")
-    return GenerationResult(shadow, method, diagrams,
-                            tuple(cert for _, cert in lifted), bound)
+    # the outermost level's digit varies fastest
+    return _family(shadow, method, steps + splits + [bases], True, bound,
+                   "digon lifts collided")
 
 
 def _even_extension(t_shadow, pair, overlay) -> Restrict:
@@ -387,7 +423,7 @@ def generate_unknots(shadow: pm.Shadow, method: str = "auto") -> GenerationResul
     if method == "descending":
         diagrams = tuple(all_descending_diagrams(shadow))
         result = GenerationResult(shadow, "descending", diagrams,
-                                  ((),) * len(diagrams), 0)
+                                  (Level(tuple(d.bits for d in diagrams), 1),), 0)
     elif method == "cycles":
         result = gen_by_cycle_decomposition(shadow, dec, bound)
     elif method == "digons":
@@ -413,26 +449,36 @@ def _simplifies_to_trivial(diagram: iv.Diagram) -> bool:
 
 
 def replay_certificate(result: GenerationResult, index: int) -> bool:
-    """Apply the output's recorded moves, outermost first; the construction
-    holds when no crossings are left or the simplifier clears the rest.
-    False when a move's check or the end rule fails.  After the first move,
-    a replay stops early at a (remaining moves, shadow, bits) suffix that an
-    earlier replay of this result took to the end rule; ``result.replayed``
-    holds those, and a ``replace`` copy starts with none."""
-    cur, cert = result.diagrams[index], result.certificates[index]
+    """Apply the output's moves, outermost first; the construction holds when
+    no crossings are left or the simplifier clears the rest.  False when a
+    move's check or the end rule fails.
+
+    After the first move, a replay stops early at a node that an earlier
+    replay of this result took to the end rule.  A node is (level k, the
+    index with the digits of the levels before k zeroed, the bits before
+    level k's move): the index fixes the moves from level k on, and the
+    bits are the diagram's own, so a tampered output gets nodes of its own.
+    ``result.replayed`` holds the nodes; they enter it only when their
+    replay reached the end rule."""
+    diagram = result.diagrams[index]
+    shadow, bits = diagram.shadow, diagram.bits
     done = result.replayed
-    ids = tuple(map(id, cert))
+    rest = index
     path = []
     try:
-        for k, move in enumerate(cert):
+        for k, level in enumerate(result.levels[:-1]):
             if k:
-                key = (ids[k:], id(cur.shadow), cur.bits)
+                key = (k, rest, bits)
                 if key in done:
                     break
                 path.append(key)
-            cur = move.apply(cur)
+            digit = rest // level.stride % len(level.options)
+            rest -= digit * level.stride
+            move = level.options[digit]
+            bits = move.apply(shadow, bits)
+            shadow = move.child
         else:
-            if not _simplifies_to_trivial(cur):
+            if not _simplifies_to_trivial(iv.Diagram(shadow, bits)):
                 return False
     except InternalInvariantViolation:
         return False

@@ -365,19 +365,6 @@ def walks_at(twin, v):
                 return walks
 
 
-def decompose_at_vertex(shadow: Shadow, v: int):
-    """Split the Eulerian walk at ``v`` into two edge-disjoint closed walks.
-
-    Both walks start and end at ``v``; together they cover every edge once.
-    """
-    if not 0 <= v < shadow.n:
-        raise PreconditionViolated(f"vertex {v} out of range")
-    walks = walks_at(shadow.twin, v)
-    if len(walks) != 2:
-        raise NotAKnotShadow("walk does not revisit its start vertex")
-    return tuple(Walk(tuple(w), v) for w in walks)
-
-
 # ---------------------------------------------------------------------------
 # Structural queries
 # ---------------------------------------------------------------------------

