@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -53,21 +52,6 @@ def _shadow_of(obj):
 
 class UsageError(Exception):
     """A bad setting found after parsing; exits with USAGE_EXIT."""
-
-
-def _threads(args) -> int:
-    env = os.environ.get("UNKNOT_FORGE_THREADS")
-    if env is None:
-        threads = args.threads
-    else:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise UsageError(
-                f"UNKNOT_FORGE_THREADS must be an integer, not {env!r}") from None
-    if threads < 0:
-        raise UsageError(f"the thread count must be 0 (auto) or more, not {threads}")
-    return threads
 
 
 def _check_limits(args) -> None:
@@ -114,7 +98,7 @@ def cmd_validate(args):
 def cmd_census(args):
     shadow = _shadow_of(_read_input(args.file, args.input_format))
     t0 = time.monotonic()
-    census = iv.census(shadow, limit=args.census_limit, threads=_threads(args))
+    census = iv.census(shadow, limit=args.census_limit)
     ms = int(1000 * (time.monotonic() - t0))
     _print_census(shadow, census, args, ms)
     return 0
@@ -229,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--input-format", choices=("auto",) + cd.FORMATS, default="auto")
     top.add_argument("--census-limit", type=int, default=iv.DEFAULT_LIMIT)
     top.add_argument("--oracle-limit", type=int, default=iv.DEFAULT_LIMIT)
-    top.add_argument("--threads", type=int, default=0,
-                     help="0 = auto; env UNKNOT_FORGE_THREADS overrides")
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--timing", action="store_true",
                      help="report real runtimes (off keeps output byte-stable)")

@@ -16,9 +16,7 @@ simplifier, to classify diagrams at desk scale.
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -1090,58 +1088,28 @@ def _by_rank(failure, key, live, back):
     return sum(1 << d for s, d in zip(src, dst) if mask >> s & 1), error
 
 
-def _census_chunk(args):
-    """Census counts of the quotient assignments whose ``p`` highest bits
-    read ``prefix``: one ``_census_walk`` from the run with the other bits
-    unknown, with a memo of its own, each count standing for the 2^(n - q)
-    diagrams that differ at curls only.  A diagram that is no knot raises
-    for the least assignment that shows it.
-    """
-    shadow, prefix, p, limit = args
-    rec = _shadow_record(shadow)
-    q = len(rec.keep)
-    bits = [None] * q
-    for i in range(p):
-        bits[q - p + i] = (prefix >> i) & 1
-    state = _Mut(Diagram(rec.quotient, tuple(bits)), shapes={})
-    counts, failure = _census_walk(rec, state, limit, {})
-    if failure is not None:
-        raise failure[1]
-    return {cls: k << (shadow.n - q) for cls, k in counts.items()}
-
-
-def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT, threads: int = 1):
+def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT):
     """Classify all 2^n assignments as ``classify`` does at RIII depth 0,
-    presumed unknots apart.  Deterministic for any thread count.
+    presumed unknots apart.
 
     Only the 2^q assignments of the curl quotient's q vertices are
     classified, each standing for the 2^(n - q) diagrams that differ from
     it at curls only, and they are classified by one walk of the greedy
     simplifier over a tree of partial assignments whose branches that pause
     in states equal up to an order-keeping relabelling are walked once
-    (``_census_walk``).  A process pool
-    splits the walk at its highest quotient bits, each part with a memo of
-    its own; it has ``threads`` workers (0: eight), at most one per CPU and
-    one per job.
+    (``_census_walk``).  A diagram that is no knot raises for the least
+    assignment that shows it.
     """
     n = shadow.n
     if n > limit:
         raise LimitExceeded(f"census needs n <= {limit}, got {n}")
-    if threads < 0:
-        raise PreconditionViolated(f"census needs threads >= 0, got {threads}")
-    q = len(_shadow_record(shadow).keep)
-    total = 1 << q
-    threads = min(threads or 8, os.cpu_count() or 1)
-    if threads == 1 or total < 256:
-        return _census_chunk((shadow, 0, 0, limit))
-    p = min((4 * threads - 1).bit_length(), q)
-    jobs = [(shadow, prefix, p, limit) for prefix in range(1 << p)]
-    counts = {}
-    with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-        for part in pool.map(_census_chunk, jobs):
-            for cls, k in part.items():
-                counts[cls] = counts.get(cls, 0) + k
-    return counts
+    rec = _shadow_record(shadow)
+    q = len(rec.keep)
+    state = _Mut(Diagram(rec.quotient, (None,) * q), shapes={})
+    counts, failure = _census_walk(rec, state, limit, {})
+    if failure is not None:
+        raise failure[1]
+    return {cls: k << (n - q) for cls, k in counts.items()}
 
 
 def unknot_count(census_result) -> int:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import CORPUS, doubled_ring_link
+from conftest import CORPUS, doubled_ring_link, plane_map_equal
 from unknotforge import codec as cd
 from unknotforge import generate as gn
 from unknotforge import invariants as iv
@@ -36,7 +36,7 @@ def test_gauss_round_trip_shadow(corpus_shadow):
         return
     text = cd.emit(s, "gauss")
     back = cd.parse(text, "gauss")
-    assert pm.plane_map_equal(s, back)
+    assert plane_map_equal(s, back)
     assert cd.emit(back, "gauss") == text
 
 
@@ -47,7 +47,7 @@ def test_gauss_round_trip_diagram(corpus_shadow):
     d = iv.alternating_diagram(s)
     text = cd.emit(d, "gauss")
     back = cd.parse(text, "gauss")
-    assert pm.plane_map_equal(d.shadow, back.shadow, d.bits, back.bits)
+    assert plane_map_equal(d.shadow, back.shadow, d.bits, back.bits)
     assert cd.emit(back, "gauss") == text
 
 
@@ -58,7 +58,7 @@ def test_pd_round_trip(corpus_shadow):
     for d in (iv.alternating_diagram(s), iv.Diagram(s, (0,) * s.n)):
         text = cd.emit(d, "pd")
         back = cd.parse(text, "pd")
-        assert pm.plane_map_equal(d.shadow, back.shadow, d.bits, back.bits)
+        assert plane_map_equal(d.shadow, back.shadow, d.bits, back.bits)
         assert cd.emit(back, "pd") == text
 
 
@@ -73,11 +73,11 @@ def test_random_shadow_round_trips():
         s = pm.random_shadow(1 + seed % 12, seed)
         assert cd.parse(cd.emit(s, "rotmap"), "rotmap") == s
         back = cd.parse(cd.emit(s, "gauss"), "gauss")
-        assert pm.plane_map_equal(s, back)
+        assert plane_map_equal(s, back)
         if seed % 5 == 0:
             d = iv.alternating_diagram(s)
             dback = cd.parse(cd.emit(d, "pd"), "pd")
-            assert pm.plane_map_equal(d.shadow, dback.shadow, d.bits, dback.bits)
+            assert plane_map_equal(d.shadow, dback.shadow, d.bits, dback.bits)
 
 
 def test_canonical_emission_under_slot_rotation():
@@ -88,7 +88,7 @@ def test_canonical_emission_under_slot_rotation():
         twin[perm.get(d, d)] = perm.get(s.twin[d], s.twin[d])
     rotated = pm.Shadow(4, tuple(twin), 0, 0)
     pm.validate_shadow(rotated)
-    assert pm.plane_map_equal(s, rotated)
+    assert plane_map_equal(s, rotated)
     assert cd.emit(s, "gauss") == cd.emit(rotated, "gauss")
     d1 = iv.alternating_diagram(s)
     d2 = iv.alternating_diagram(rotated)
@@ -164,7 +164,7 @@ def test_pd_emits_every_assignment(corpus_shadow):
         text = cd.emit(d, "pd")
         assert text.count("X[") == s.n
         back = cd.parse(text, "pd")
-        assert pm.plane_map_equal(d.shadow, back.shadow, d.bits, back.bits)
+        assert plane_map_equal(d.shadow, back.shadow, d.bits, back.bits)
 
 
 def test_pd_rejects_shadow_and_trivial():

@@ -510,50 +510,6 @@ def test_census_counts_sum(corpus_shadow):
     assert sum(census.values()) == 1 << s.n
 
 
-def test_census_threaded_matches_sequential():
-    s = pm.standard_figure8()
-    seq = iv.census(s, threads=1)
-    par = iv.census(pm.connected_sum(s, s), threads=2)
-    seq2 = iv.census(pm.connected_sum(s, s), threads=1)
-    assert par == seq2
-    assert iv.unknot_count(seq) == 12
-
-
-def test_census_rejects_a_negative_thread_count():
-    with pytest.raises(PreconditionViolated):
-        iv.census(pm.cn(3), threads=-4)
-
-
-@pytest.mark.parametrize("cpus", (2, 1000))
-def test_census_caps_workers_at_cpus_and_jobs(monkeypatch, cpus):
-    # a fake pool records its size and maps in-process, so no worker is
-    # ever started; cn(9) has 2^9 quotient assignments, split into 2^p jobs
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            jobs = list(jobs)
-            sizes.append(len(jobs))
-            return map(fn, jobs)
-
-    monkeypatch.setattr(iv, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    s = pm.cn(9)
-    assert iv.census(s, threads=1000) == iv.census(s, threads=1)
-    workers, jobs = sizes
-    assert workers == min(cpus, jobs)
-    assert jobs == (8 if cpus == 2 else 512)
-
-
 def test_census_limit():
     with pytest.raises(LimitExceeded):
         iv.census(pm.random_shadow(6, 1), limit=4)
@@ -607,8 +563,7 @@ def test_classify_matches_the_unreduced_polynomial(corpus):
     assert checked > 1500
 
 
-@pytest.mark.parametrize("threads", (1, 2))
-def test_census_matches_classify_over_all_assignments(threads):
+def test_census_matches_classify_over_all_assignments():
     f8 = pm.standard_figure8()
     curled = pm.insert_curl(pm.insert_curl(f8, 3), 17, True)
     shadows = [curled, pm.chorizo(6), pm.random_shadow(10, 16),
@@ -620,15 +575,14 @@ def test_census_matches_classify_over_all_assignments(threads):
             name = iv.classify(d).name
             brute[name] = brute.get(name, 0) + 1
         named = {}
-        for cls, k in iv.census(s, threads=threads).items():
+        for cls, k in iv.census(s).items():
             named[cls.name] = named.get(cls.name, 0) + k
         assert named == brute, s
 
 
-@pytest.mark.parametrize("threads", (1, 2))
-def test_census_matches_classify_on_curl_free_shadows(threads):
+def test_census_matches_classify_on_curl_free_shadows():
     # the curl quotient is the whole shadow, so the census walk does all the
-    # work; 2^9 and 2^8 assignments, so two threads run a process pool
+    # work
     f8 = pm.standard_figure8()
     shadows = [pm.cn(9), pm.connected_sum(f8, f8)]
     assert not any(map(_has_curl, shadows))
@@ -637,7 +591,7 @@ def test_census_matches_classify_on_curl_free_shadows(threads):
         for d in iv.assignments(s):
             name = iv.classify(d).name
             brute[name] = brute.get(name, 0) + 1
-        named = {c.name: k for c, k in iv.census(s, threads=threads).items()}
+        named = {c.name: k for c, k in iv.census(s).items()}
         assert named == brute, s
 
 
@@ -645,25 +599,22 @@ EXPECTED_CENSUS_PATH = (pathlib.Path(__file__).parents[1] / "perfbench"
                         / "expected_census.json")
 
 
-@pytest.mark.parametrize("threads", (1, 2))
-def test_census_matches_the_benchmark_pin(threads):
+def test_census_matches_the_benchmark_pin():
     # {shadow name: {class name: count}}, the benchmark's census pin
     pins = json.loads(EXPECTED_CENSUS_PATH.read_text())
     f8 = pm.standard_figure8()
     for name, s in (("cn11", pm.cn(11)),
                     ("fig8#fig8#fig8",
                      pm.connected_sum(pm.connected_sum(f8, f8), f8))):
-        named = {c.name: k for c, k in iv.census(s, threads=threads).items()}
+        named = {c.name: k for c, k in iv.census(s).items()}
         assert named == pins[name], name
 
 
-@pytest.mark.parametrize("threads", (1, 2))
-def test_census_keeps_presumed_unknots_apart(threads):
-    # (8, 16) has a 6-vertex curl quotient, so it is classified in one chunk;
-    # (10, 16) has an 8-vertex one, so two threads run a process pool
+def test_census_keeps_presumed_unknots_apart():
+    # (8, 16) has a 6-vertex curl quotient, (10, 16) an 8-vertex one
     for (n, seed), certified, presumed in (((8, 16), 144, 8), ((10, 16), 512, 32)):
         s = pm.random_shadow(n, seed)
-        census = iv.census(s, threads=threads)
+        census = iv.census(s)
         named = {c.name: k for c, k in census.items()}
         assert named["unknot"] == certified, (n, seed)
         assert named["unknot (presumed)"] == presumed, (n, seed)
@@ -982,14 +933,14 @@ def test_census_merges_equal_paused_states(monkeypatch):
     monkeypatch.setattr(iv._Mut, "fork", fork)
     monkeypatch.setattr(iv._Mut, "run", run)
     monkeypatch.setattr(iv, "_CENSUS_CAP", 0)   # no memo: the walk is a tree
-    tree = iv.census(s, threads=1)
+    tree = iv.census(s)
     assert len(forks) == len(pauses) == 1865
     distinct = len(set(pauses))
     assert distinct == 85
     forks.clear()
     pauses.clear()
     monkeypatch.setattr(iv, "_CENSUS_CAP", cap)
-    assert iv.census(s, threads=1) == tree
+    assert iv.census(s) == tree
     assert len(forks) <= distinct < len(pauses)
 
 
@@ -1006,7 +957,7 @@ def test_census_forks_once_per_distinct_paused_state(monkeypatch, n, states):
 
     monkeypatch.setattr(iv._Mut, "fork", fork)
     monkeypatch.setattr(iv, "_MEMO_CAP", 8)
-    iv.census(pm.cn(n), threads=1)
+    iv.census(pm.cn(n))
     assert len(forks) == states
 
 
@@ -1026,21 +977,20 @@ def test_census_of_a_twist_chain_meets_the_closed_form(monkeypatch):
     monkeypatch.setattr(iv._Mut, "fork", fork)
     for n in (15, 21, 31, 41):
         forks.clear()
-        census = iv.census(pm.cn(n), limit=n, threads=1)
+        census = iv.census(pm.cn(n), limit=n)
         assert iv.unknot_count(census) == math.comb(n + 1, (n + 1) // 2)
         assert sum(census.values()) == 1 << n
         assert len(forks) == (n * n + 7 * n - 28) // 2
     assert len(forks) == 970
 
 
-@pytest.mark.parametrize("threads", (1, 2))
-def test_census_counts_do_not_depend_on_the_memo_cap(monkeypatch, threads):
+def test_census_counts_do_not_depend_on_the_memo_cap(monkeypatch):
     for s in (pm.cn(11), _fig8_cubed(), _curl_heavy_shadow()):
         got = []
         for cap in (0, 8, iv._CENSUS_CAP):
             with monkeypatch.context() as m:
                 m.setattr(iv, "_CENSUS_CAP", cap)
-                census = iv.census(s, threads=threads)
+                census = iv.census(s)
             got.append(list(census.items()))
         assert got[0] == got[1] == got[2]
         assert sum(k for _, k in got[0]) == 1 << s.n
@@ -1080,7 +1030,8 @@ def test_census_keys_are_sound():
     f8 = pm.standard_figure8()
     groups = {}
     for s in (pm.cn(9), pm.connected_sum(f8, f8), pm.random_shadow(10, 16),
-              pm.random_shadow(10, 5), pm.random_shadow(9, 5)):
+              pm.random_shadow(10, 5), pm.random_shadow(9, 5),
+              pm.random_shadow(10, 49)):
         for state in _paused_states(s):
             key, live = state.key()
             assert (key, live) == _reference_key(state)
@@ -1132,8 +1083,7 @@ def _first_error(shadow):
     raise AssertionError("no assignment raises")
 
 
-@pytest.mark.parametrize("threads", (1, 2))
-def test_census_raises_for_the_least_failing_assignment(monkeypatch, threads):
+def test_census_raises_for_the_least_failing_assignment(monkeypatch):
     # every trefoil_left diagram of cn(9) has one residue; the curl-heavy
     # shadows have several, so there the message tells residues apart
     _trefoil_left_raises(monkeypatch)
@@ -1142,7 +1092,7 @@ def test_census_raises_for_the_least_failing_assignment(monkeypatch, threads):
         assert kind is PreconditionViolated
         assert message.startswith("trefoil_left")
         with pytest.raises(PreconditionViolated) as e:
-            iv.census(s, threads=threads)
+            iv.census(s)
         assert str(e.value) == message
 
 
