@@ -24,8 +24,6 @@ from . import planemap as pm
 from .errors import (
     InternalInvariantViolation,
     LimitExceeded,
-    NonPlanar,
-    NotInvolution,
     PreconditionViolated,
     ShadowError,
 )
@@ -616,19 +614,21 @@ def simplify(diagram: Diagram, riii_depth: int = 0):
 
     The move set never increases the crossing count, so the result has at
     most as many crossings and represents the same knot.  With
-    ``riii_depth`` > 0 a bounded search over triangle slides is tried when
-    the greedy moves stall.
+    ``riii_depth`` > 0 a bounded search over triangle slides is tried each
+    time the greedy moves stall; ``("r3", None)`` logs a slide, and the
+    moves after it name the vertices of the reduced diagram it slid.
     """
     state = _Mut(diagram)
     if state.run() is not None:
         raise PreconditionViolated("simplify needs every bit set")
     out, _ = state.to_diagram()
     moves = state.moves
-    if out.n and riii_depth > 0:
-        slid = _riii_search(out, riii_depth)
-        if slid is not None and slid.n < out.n:
-            slid_out, slid_moves = simplify(slid, riii_depth)
-            return slid_out, moves + [("r3", None)] + slid_moves
+    while out.n and riii_depth > 0:
+        found = _riii_search(out, riii_depth)
+        if found is None:
+            break
+        out, slid_moves = found
+        moves += [("r3", None)] + slid_moves
     return out, moves
 
 
@@ -644,8 +644,6 @@ def riii_moves(diagram: Diagram):
     out = []
     for f in pm.faces(shadow):
         if len(f) != 3:
-            continue
-        if len({pm.vertex_of(d) for d in f}) != 3:
             continue
         for i in range(3):
             a_side = f[(i + 1) % 3]
@@ -664,9 +662,13 @@ def _riii_apply(diagram: Diagram, dx, dy, dz):
     two fixed crossings swap which side of the moving strand they see, and
     the moving strand reverses its passage through its own two crossings,
     swapping its slot usage there.
+
+    It degenerates unless the 12 darts at the corners (so three distinct
+    corners) and the 6 outer twins are all distinct; then the six outer
+    edges leave the triangle's closed disk, and the rewiring is a move
+    inside it, which keeps planarity and the number of curves.
     """
-    shadow = diagram.shadow
-    twin = list(shadow.twin)
+    twin = list(diagram.shadow.twin)
     q, t = twin[dx], dx            # side x-y: dart at y, dart at x
     s, u = dz, twin[dz]            # side z-x: dart at z, dart at x
     p, r = dy, twin[dy]            # sliding side: dart at y, dart at z
@@ -682,21 +684,16 @@ def _riii_apply(diagram: Diagram, dx, dy, dz):
     for a, b in new_pairs:
         twin[a] = b
         twin[b] = a
-    cand = pm.Shadow(shadow.n, tuple(twin), shadow.free_loops, 0)
-    try:
-        pm.validate_shadow(cand)
-    except (NotInvolution, NonPlanar):
-        return None
-    if cand.curve_count() != shadow.curve_count():
-        return None
-    return Diagram(cand, diagram.bits)
+    shadow = pm.Shadow(diagram.n, tuple(twin), diagram.shadow.free_loops, 0)
+    return Diagram(shadow, diagram.bits)
 
 
 def _riii_search(diagram: Diagram, depth: int):
     """Bounded breadth-first search over triangle slides for a diagram where
-    the greedy moves apply again.  Some generated families need it: depth 1
-    certifies every output of the torus closures (s1 s2)^k for k = 14, 17
-    and 20, where depth 0 leaves 15/32, 31/64 and 63/128 unresolved."""
+    the greedy moves apply again; returns that run's reduced diagram and
+    moves, or None.  Some generated families need it: depth 1 certifies
+    every output of the torus closures (s1 s2)^k for k = 14, 17 and 20,
+    where depth 0 leaves 15/32, 31/64 and 63/128 unresolved."""
     seen = {(diagram.shadow.twin, diagram.bits)}
     frontier = [diagram]
     for _ in range(depth):
@@ -707,13 +704,11 @@ def _riii_search(diagram: Diagram, depth: int):
                 if key in seen:
                     continue
                 seen.add(key)
-                reduced, _ = simplify(cand, 0)
+                reduced, moves = simplify(cand, 0)
                 if reduced.n < diagram.n:
-                    return reduced
+                    return reduced, moves
                 nxt.append(cand)
         frontier = nxt
-        if not frontier:
-            break
     return None
 
 

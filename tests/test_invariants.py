@@ -18,7 +18,8 @@ from unknotforge import codec as cd
 from unknotforge import generate as gn
 from unknotforge import invariants as iv
 from unknotforge import planemap as pm
-from unknotforge.errors import LimitExceeded, PreconditionViolated, ShadowError
+from unknotforge.errors import (LimitExceeded, NonPlanar, NotInvolution,
+                                PreconditionViolated, ShadowError)
 from unknotforge.invariants import LaurentPoly
 
 
@@ -388,7 +389,9 @@ def _simplify_record(diagram, riii_depth):
 
 def test_simplify_matches_pins(monkeypatch):
     # {name: {"twin", "bits", "free_loops", "moves"}}, captured before the
-    # simplifier's strand excision moved onto planemap's splicing engine
+    # simplifier's strand excision moved onto planemap's splicing engine;
+    # the moves of the three cases that slide and then run on were pinned
+    # again when the greedy moves after a slide joined the log
     pins = json.loads(SIMPLIFY_PINS_PATH.read_text())
     cases = simplify_pin_cases()
     assert list(pins) == [name for name, _, _ in cases]
@@ -414,6 +417,20 @@ def test_simplify_matches_pins(monkeypatch):
     assert collapses > 0 and fallbacks > 0
 
 
+def _crossings_removed(move):
+    kind = move[0]
+    if kind == "ta":
+        return 1 + len(move[3])
+    return {"r1": 1, "r2": 2, "r3": 0}[kind]
+
+
+def test_simplify_log_accounts_for_every_removed_crossing():
+    # slides included: the greedy moves that run after a slide are logged
+    for name, d, riii_depth in simplify_pin_cases():
+        out, moves = iv.simplify(d, riii_depth)
+        assert sum(map(_crossings_removed, moves)) == d.n - out.n, name
+
+
 def test_simplify_stalls_on_link_crossings():
     # no bigon of the doubled 4-ring is removable with all bits 0, and the
     # one-sided collapse scan finds each crossing joins two curves
@@ -437,6 +454,114 @@ def test_rii_removable_pairs_on_doubled_ring():
     assert moves[0][0] == "r2"
     child, _ = iv.apply_rii_at(non_alt, *moves[0][1:])
     assert child.n == 1
+
+
+def _reference_riii_apply(diagram, dx, dy, dz):
+    """``iv._riii_apply`` with a whole-shadow check besides the local one:
+    each candidate is validated as a shadow and must keep the diagram's
+    number of curves."""
+    shadow = diagram.shadow
+    twin = list(shadow.twin)
+    q, t = twin[dx], dx
+    s, u = dz, twin[dz]
+    p, r = dy, twin[dy]
+    b1, b2 = twin[q ^ 2], twin[t ^ 2]
+    g1, g2 = twin[s ^ 2], twin[u ^ 2]
+    a1, a2 = twin[p ^ 2], twin[r ^ 2]
+    new_pairs = [(q, b2), (q ^ 2, t ^ 2), (t, b1),
+                 (s, g2), (s ^ 2, u ^ 2), (u, g1),
+                 (r, a1), (r ^ 2, p ^ 2), (p, a2)]
+    flat = [d for pair in new_pairs for d in pair]
+    if len(set(flat)) != len(flat):
+        return None
+    for a, b in new_pairs:
+        twin[a] = b
+        twin[b] = a
+    cand = pm.Shadow(shadow.n, tuple(twin), shadow.free_loops, 0)
+    try:
+        pm.validate_shadow(cand)
+    except (NotInvolution, NonPlanar):
+        return None
+    if cand.curve_count() != shadow.curve_count():
+        return None
+    return iv.Diagram(cand, diagram.bits)
+
+
+def _reference_riii_moves(diagram):
+    """``iv.riii_moves`` over ``_reference_riii_apply``, with a filter for
+    triangles with three distinct corners."""
+    shadow = diagram.shadow
+    out = []
+    for f in pm.faces(shadow):
+        if len(f) != 3 or len({pm.vertex_of(d) for d in f}) != 3:
+            continue
+        for i in range(3):
+            a_side = f[(i + 1) % 3]
+            if diagram.over_dart(a_side) != diagram.over_dart(shadow.twin[a_side]):
+                continue
+            cand = _reference_riii_apply(diagram, f[i], f[(i + 1) % 3],
+                                         f[(i + 2) % 3])
+            if cand is not None:
+                out.append(cand)
+    return out
+
+
+def _slide_shadows():
+    """The corpus, random shadows of 5-21 crossings, closed 3- and 4-braids
+    and doubled rings."""
+    braid = _load_braid()
+    out = [s for _, s in CORPUS]
+    out += [pm.random_shadow(n, seed) for n in range(5, 22) for seed in range(4)]
+    out += [cd.parse(braid.braid_pd(braid.torus_word(k), 3), "pd").shadow
+            for k in (4, 5, 7)]
+    out += _braid_shadows([(3, n) for n in range(6, 25, 2)]
+                          + [(4, n) for n in range(7, 26, 2)], 29)
+    out += [doubled_ring_link(k) for k in (2, 3, 4, 6)]
+    return out
+
+
+def test_riii_slides_match_the_whole_shadow_reference():
+    # the local test accepts a slide exactly when the whole-shadow check
+    # does, on every triangle face and rotation, and again on the shadow of
+    # each slide; riii_moves lists the reference's slides in its order.
+    # Triangles with a repeated corner are among those rejected.
+    rng = random.Random(5)
+    level = _slide_shadows()
+    slides = degenerate = repeated = 0
+    for _ in range(2):
+        nxt = {}
+        for s in level:
+            d = iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
+            assert iv.riii_moves(d) == _reference_riii_moves(d), s
+            for f in pm.faces(s):
+                if len(f) != 3:
+                    continue
+                repeated += len({pm.vertex_of(x) for x in f}) != 3
+                for i in range(3):
+                    darts = (f[i], f[(i + 1) % 3], f[(i + 2) % 3])
+                    got = iv._riii_apply(d, *darts)
+                    assert got == _reference_riii_apply(d, *darts), (s, darts)
+                    if got is None:
+                        degenerate += 1
+                    else:
+                        slides += 1
+                        nxt.setdefault(got.shadow.twin, got.shadow)
+        level = nxt.values()
+    assert slides > 2000 and degenerate > 300 and repeated > 50
+
+
+@pytest.mark.parametrize("k, outputs, unresolved",
+                         [(14, 32, 15), (17, 64, 31), (20, 128, 63)])
+def test_one_slide_certifies_the_torus_closure_families(k, outputs, unresolved):
+    # the greedy moves stall on these families above the oracle limit; one
+    # triangle slide lets them run down to no crossings
+    braid = _load_braid()
+    shadow = cd.parse(braid.braid_pd(braid.torus_word(k), 3), "pd").shadow
+    diagrams = gn.generate_unknots(shadow).diagrams
+    assert len(diagrams) == outputs
+    kinds = [iv.classify(d).kind for d in diagrams]
+    assert kinds.count("unresolved") == unresolved
+    assert all(iv.classify(d, riii_depth=1) == iv.UNKNOT for d in diagrams)
 
 
 def test_riii_slide_preserves_polynomial():
