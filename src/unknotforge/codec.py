@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from functools import lru_cache
 from operator import getitem
 
 from . import invariants as iv
@@ -223,63 +224,52 @@ def _parse_gauss(text: str):
 # pd
 # ---------------------------------------------------------------------------
 
-class _PdTables:
-    """The PD rows of every diagram on one shadow.
+@lru_cache(maxsize=1)
+def _pd_rows(shadow: pm.Shadow) -> list:
+    """The PD rows of every diagram on one shadow, cached for the last one.
 
-    ``rows`` has one list per candidate walk combination, whose entry v is
-    crossing v's ``X[...]`` row for bit 0 and for bit 1; a diagram's text
-    under that combination joins the row its bit picks at every crossing.
+    One list per candidate walk combination, whose entry v is crossing v's
+    ``X[...]`` row for bit 0 and for bit 1; a diagram's text under that
+    combination joins the row its bit picks at every crossing.
     """
-
-    __slots__ = ("shadow", "rows")
-
-    def __init__(self, shadow: pm.Shadow):
-        twin = shadow.twin
-        walks = _component_walks(shadow)
-        walks.sort(key=lambda w: min(pm.vertex_of(d) for d in w))
-        self.shadow = shadow
-        self.rows = []
-        for combo in itertools.product(*(_candidate_walks(shadow, w) for w in walks)):
-            label = [""] * (4 * shadow.n)
-            in_darts = [False] * (4 * shadow.n)
-            nxt = 1
-            for seq in combo:
-                for k, ex in enumerate(seq):
-                    label[ex] = label[twin[ex]] = str(nxt)
-                    nxt += 1
-                    in_darts[twin[seq[k - 1]]] = True
-            rows = []
-            for v in range(shadow.n):
-                around = label[4 * v:4 * v + 4]
-                pair = []
-                for bit in (0, 1):
-                    # the incoming under-strand dart has the other parity;
-                    # the walks pass each strand once, so there is one
-                    for s in range(4):
-                        if in_darts[4 * v + s] and (s & 1) != bit:
-                            under_in = s
-                    pair.append("X[" + ",".join(
-                        around[under_in:] + around[:under_in]) + "]")
-                rows.append(tuple(pair))
-            self.rows.append(rows)
-
-
-# the tables of the last shadow emitted; another shadow replaces them
-_pd_tables = None
+    twin = shadow.twin
+    walks = _component_walks(shadow)
+    walks.sort(key=lambda w: min(pm.vertex_of(d) for d in w))
+    out = []
+    for combo in itertools.product(*(_candidate_walks(shadow, w) for w in walks)):
+        label = [""] * (4 * shadow.n)
+        in_darts = [False] * (4 * shadow.n)
+        nxt = 1
+        for seq in combo:
+            for k, ex in enumerate(seq):
+                label[ex] = label[twin[ex]] = str(nxt)
+                nxt += 1
+                in_darts[twin[seq[k - 1]]] = True
+        rows = []
+        for v in range(shadow.n):
+            around = label[4 * v:4 * v + 4]
+            pair = []
+            for bit in (0, 1):
+                # the incoming under-strand dart has the other parity;
+                # the walks pass each strand once, so there is one
+                for s in range(4):
+                    if in_darts[4 * v + s] and (s & 1) != bit:
+                        under_in = s
+                pair.append("X[" + ",".join(
+                    around[under_in:] + around[:under_in]) + "]")
+            rows.append(tuple(pair))
+        out.append(rows)
+    return out
 
 
 def _emit_pd(diagram: iv.Diagram) -> str:
-    global _pd_tables
     shadow = diagram.shadow
     if shadow.n == 0 or shadow.free_loops:
         raise UnsupportedConversion(
             "pd codes cannot express vertex-less components; use rotmap")
-    if _pd_tables is None or (_pd_tables.shadow is not shadow
-                              and _pd_tables.shadow != shadow):
-        _pd_tables = _PdTables(shadow)
     bits = diagram.bits
     return min(" ".join(map(getitem, rows, bits)) + "\n"
-               for rows in _pd_tables.rows)
+               for rows in _pd_rows(shadow))
 
 
 _PD_ROW = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from . import decomp as dc
@@ -114,10 +114,8 @@ class Restrict:
             for v, b in self.want:
                 if bits[v] != b:
                     raise InternalInvariantViolation(f"replay: vertex {v} needs bit {b}")
-        if self.bigon is not None:
-            if not any(len(f) == 2 and {shadow.edge_id(d) for d in f} == self.bigon
-                       for f in pm.faces(shadow)):
-                raise InternalInvariantViolation("split digon is not a bigon face")
+        if self.bigon is not None and not _bounds_a_face(shadow, self.bigon):
+            raise InternalInvariantViolation("split digon is not a bigon face")
         return self._survivors(bits)
 
     @cached_property
@@ -145,6 +143,13 @@ class Restrict:
     def lift(self, child_bits: tuple) -> tuple:
         """The parent bits that this move restricts to ``child_bits``."""
         return self._lift(child_bits + self._wanted[1])
+
+
+@lru_cache(maxsize=iv._MEMO_CAP)
+def _bounds_a_face(shadow: pm.Shadow, bigon: frozenset) -> bool:
+    """Do the two edges of ``bigon`` bound a 2-face of ``shadow``?"""
+    return any(len(f) == 2 and {shadow.edge_id(d) for d in f} == bigon
+               for f in pm.faces(shadow))
 
 
 def _cycle_move(step: dc.QuotientStep, side: str, root_bit: int) -> Restrict:

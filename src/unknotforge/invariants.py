@@ -7,10 +7,11 @@ that adds crossings one at a time and keeps one table per matching of the
 open strand ends, not by enumerating all 2^n smoothings.  The matchings and
 their transitions depend on the shadow alone, so the scan is compiled once
 per shadow into a plan, and a diagram's bits only choose which smoothing of
-each crossing is weighted A; plans and writhe signs are kept with the record
-of the shadow being classified.  The writhe-normalized form is invariant
-under all Reidemeister moves and is used, together with a greedy move-based
-simplifier, to classify diagrams at desk scale.
+each crossing is weighted A; plans and writhe signs are cached on the twin
+table, and the classes of residue diagrams on the diagram.  The
+writhe-normalized form is invariant under all Reidemeister moves and is
+used, together with a greedy move-based simplifier, to classify diagrams at
+desk scale.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .errors import (
 )
 
 DEFAULT_LIMIT = 20
+
+# each memo of a shadow record stops growing at this many entries, and each
+# cache of a pure per-shadow result keeps at most this many
+_MEMO_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +164,16 @@ def assignments(shadow: pm.Shadow):
 def writhe(diagram: Diagram) -> int:
     """Sum of crossing signs, oriented along the walk from dart 0.
 
-    The signs at bit 0 are a function of the shadow (bit 1 negates a sign),
-    taken once per shadow and kept with the shadow record, as the bracket
-    plans are."""
-    signs = _per_shadow("signs", _writhe_signs, diagram.shadow)
+    The signs at bit 0 are a function of the twin table (bit 1 negates a
+    sign), cached on it as the bracket plans are."""
+    signs = _writhe_signs(diagram.shadow.twin)
     return sum(s if b == 0 else -s for s, b in zip(signs, diagram.bits))
 
 
-def _writhe_signs(shadow: pm.Shadow) -> list:
+@lru_cache(maxsize=_MEMO_CAP)
+def _writhe_signs(twin: tuple) -> list:
     """The sign of each vertex at bit 0, along the walk from dart 0."""
+    shadow = pm.Shadow(len(twin) // 4, twin)
     walk = pm.eulerian_walk(shadow)
     in_slots = {}
     for k, exit_dart in enumerate(walk.darts):
@@ -183,8 +189,8 @@ def _writhe_signs(shadow: pm.Shadow) -> list:
 def kauffman_bracket(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPoly:
     """Scan-line sum over all smoothings; exact integer coefficients.
 
-    The scan depends on the shadow alone: ``_bracket_plan`` takes it once
-    per shadow, kept with the shadow record, and the bits only decide which
+    The scan depends on the twin table alone: ``_bracket_plan`` takes it
+    once per table, cached on it, and the bits only decide which
     of a vertex's two smoothings is weighted A and which A^-1.  A diagram
     carries one weight table per state through the plan's rows.  A table
     counts the smoothings by (A-smoothings ``a``, closed loops), packed
@@ -203,7 +209,7 @@ def kauffman_bracket(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPol
     width = 3 * n + free + 2
     level = (n + 1) * width             # the offset of one more closed loop
     tables = [1]
-    for v, rows, size in _per_shadow("plans", _bracket_plan, diagram.shadow):
+    for v, rows, size in _bracket_plan(diagram.shadow.twin):
         a = 0 if bits[v] else width     # bit 0 weights the even smoothing A
         b = width - a
         nxt = [0] * size
@@ -237,7 +243,8 @@ def kauffman_bracket(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPol
     return LaurentPoly(acc)
 
 
-def _bracket_plan(shadow: pm.Shadow) -> list:
+@lru_cache(maxsize=_MEMO_CAP)
+def _bracket_plan(twin: tuple) -> list:
     """The bit-free scan of the bracket: one ``(v, rows, size)`` a step.
 
     Vertices are added one at a time, next the one with the most darts
@@ -250,8 +257,7 @@ def _bracket_plan(shadow: pm.Shadow) -> list:
     next ones, closing ``ci`` loops, and the one that pairs {0,3},{1,2} to
     state ``j``, closing ``cj``.
     """
-    n = shadow.n
-    twin = shadow.twin
+    n = len(twin) // 4
     joined = [0] * n
     todo = set(range(n))
     states = {(-1,) * 4 * n: 0}
@@ -787,8 +793,29 @@ def reference_polynomials():
     }
 
 
-# each memo of a shadow record stops growing at this many entries
-_MEMO_CAP = 4096
+def residue_class(reduced: Diagram, limit: int) -> KnotClass:
+    """The class of a diagram the simplifier leaves: the unknot when it has
+    no crossings, unresolved past ``limit``, else by its polynomial."""
+    if reduced.n == 0:
+        if reduced.shadow.free_loops != 1:
+            raise PreconditionViolated(
+                f"not a knot diagram: it reduces to {reduced.shadow.free_loops} "
+                "free loops")
+        return UNKNOT
+    if reduced.n > limit:
+        return UNRESOLVED
+    return _poly_class(reduced)
+
+
+@lru_cache(maxsize=_MEMO_CAP)
+def _poly_class(reduced: Diagram) -> KnotClass:
+    """The class of a diagram with crossings by its normalized polynomial;
+    ``residue_class`` has checked the limit."""
+    f = normalized_poly(reduced, reduced.n)
+    if f == ONE:
+        return KnotClass("unknot", presumed=True)
+    return reference_polynomials().get(f) or KnotClass("other", f)
+
 
 # the census memo of paused states stops growing at this many entries, about
 # 1.2 KB each at 17-19 crossings and 2.4 KB at 41: cn(19) pauses in 233
@@ -803,7 +830,7 @@ class _ShadowRecord:
     closure, and ``keep``, the parent vertex of each quotient vertex) is
     computed once, and a diagram's verdict depends only on its bits at
     ``keep``.  Verdicts are memoized on those bits, ``limit`` and
-    ``riii_depth``; polynomial verdicts on the reduced diagram.
+    ``riii_depth``.
 
     The greedy runs of the quotient's diagrams share a path-compressed
     tree, grown as diagrams arrive.  Each node is reached by an edge that
@@ -825,16 +852,13 @@ class _ShadowRecord:
     two of its diagrams part.  It does not depend on ``limit`` or
     ``riii_depth`` and stops growing at ``_MEMO_CAP`` leaves.
 
-    ``plans`` and ``signs`` hold the bracket plan and the writhe signs of
-    each shadow whose bracket or writhe is taken while this is the current
-    record, the residues' shadows above all, keyed on the twin table: the
-    diagrams of one residue shadow differ only in their bits.  Each stops
-    growing at ``_MEMO_CAP`` shadows, and both go when a new record
-    replaces this one, so no plan outlives the shadow being classified.
+    The record holds only what depends on its shadow's bits.  The pure
+    results on the residues (bracket plans, writhe signs, polynomial
+    classes) are cached where they are computed, and outlive the record.
     """
 
-    __slots__ = ("shadow", "quotient", "keep", "verdicts", "residues",
-                 "shapes", "root", "nodes", "plans", "signs")
+    __slots__ = ("shadow", "quotient", "keep", "verdicts", "shapes", "root",
+                 "nodes")
 
     def __init__(self, shadow: pm.Shadow):
         state = _Mut(Diagram(shadow, (0,) * shadow.n))
@@ -849,12 +873,9 @@ class _ShadowRecord:
         self.shadow = shadow
         self.quotient = reduced.shadow
         self.verdicts = {}
-        self.residues = {}
         self.shapes = {}
         self.root = None
         self.nodes = 0
-        self.plans = {}
-        self.signs = {}
 
     def verdict(self, bits: tuple, limit: int, riii_depth: int) -> KnotClass:
         """The class of the quotient diagram with these bits: that of its
@@ -865,7 +886,7 @@ class _ShadowRecord:
             reduced = self.residue(bits)
             if reduced.n and riii_depth > 0:
                 reduced, _ = simplify(reduced, riii_depth)
-            cls = self.residue_class(reduced, limit)
+            cls = residue_class(reduced, limit)
             if len(self.verdicts) < _MEMO_CAP:
                 self.verdicts[key] = cls
         return cls
@@ -929,28 +950,6 @@ class _ShadowRecord:
         node[:] = [log[:i], v, state] + ([rest, leaf] if b == 0 else [leaf, rest])
         return leaf
 
-    def residue_class(self, reduced: Diagram, limit: int) -> KnotClass:
-        """The class of a diagram the simplifier leaves: the unknot when it
-        has no crossings, else by its polynomial, memoized."""
-        if reduced.n == 0:
-            if reduced.shadow.free_loops != 1:
-                raise PreconditionViolated(
-                    f"not a knot diagram: it reduces to {reduced.shadow.free_loops} "
-                    "free loops")
-            return UNKNOT
-        if reduced.n > limit:
-            return UNRESOLVED
-        cls = self.residues.get(reduced)
-        if cls is None:
-            f = normalized_poly(reduced, limit)
-            if f == ONE:
-                cls = KnotClass("unknot", presumed=True)
-            else:
-                cls = reference_polynomials().get(f) or KnotClass("other", f)
-            if len(self.residues) < _MEMO_CAP:
-                self.residues[reduced] = cls
-        return cls
-
 
 _record = None
 
@@ -961,20 +960,6 @@ def _shadow_record(shadow: pm.Shadow) -> _ShadowRecord:
     if _record is None or (_record.shadow is not shadow and _record.shadow != shadow):
         _record = _ShadowRecord(shadow)
     return _record
-
-
-def _per_shadow(memo: str, build, shadow: pm.Shadow):
-    """``build(shadow)``, kept in the ``memo`` table of the current shadow
-    record, keyed on the twin table; built afresh when there is no record."""
-    if _record is None:
-        return build(shadow)
-    table = getattr(_record, memo)
-    out = table.get(shadow.twin)
-    if out is None:
-        out = build(shadow)
-        if len(table) < _MEMO_CAP:
-            table[shadow.twin] = out
-    return out
 
 
 def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
@@ -991,8 +976,9 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     Both certificates are taken on the shadow's curl quotient, with the
     bits restricted to its vertices; removing a curl keeps the knot.  The
     last shadow classified keeps its record: verdicts memoized on the
-    restricted bits, ``limit`` and ``riii_depth``, polynomials on the
-    reduced diagram, and one path-compressed tree of greedy simplifier runs.
+    restricted bits, ``limit`` and ``riii_depth``, and one path-compressed
+    tree of greedy simplifier runs.  The classes of residues are cached
+    behind ``residue_class``.
     A diagram follows the read logs of the tree's edges while its bits
     agree with them, and simplifies only from the first logged read where
     they differ, reading its own bits as the run meets them.  Repeated
@@ -1003,7 +989,7 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     return rec.verdict(tuple(bits[v] for v in rec.keep), limit, riii_depth)
 
 
-def _census_walk(rec, state, limit, memo):
+def _census_walk(state, limit, memo):
     """Census counts and least failure of the assignments below ``state``.
 
     The counts run over the assignments of the bits that are unknown and
@@ -1038,8 +1024,7 @@ def _census_walk(rec, state, limit, memo):
             for j, i in enumerate(free):
                 leaf_bits[i] = (k >> j) & 1
             try:
-                cls = rec.residue_class(Diagram(reduced.shadow, tuple(leaf_bits)),
-                                        limit)
+                cls = residue_class(Diagram(reduced.shadow, tuple(leaf_bits)), limit)
             except ShadowError as e:
                 if failure is None:     # ``order`` rises, so k does too
                     failure = (sum(1 << order[i] for i in free if leaf_bits[i]), e)
@@ -1052,9 +1037,9 @@ def _census_walk(rec, state, limit, memo):
         if hit is None:
             one = state.fork(u, 1)
             bits[u] = 0
-            counts, failure = _census_walk(rec, state, limit, memo)
+            counts, failure = _census_walk(state, limit, memo)
             counts = dict(counts)
-            more, worse = _census_walk(rec, one, limit, memo)
+            more, worse = _census_walk(one, limit, memo)
             for cls, k in more.items():
                 counts[cls] = counts.get(cls, 0) + k
             if worse is not None:
@@ -1101,7 +1086,7 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT):
     rec = _shadow_record(shadow)
     q = len(rec.keep)
     state = _Mut(Diagram(rec.quotient, (None,) * q), shapes={})
-    counts, failure = _census_walk(rec, state, limit, {})
+    counts, failure = _census_walk(state, limit, {})
     if failure is not None:
         raise failure[1]
     return {cls: k << (n - q) for cls, k in counts.items()}

@@ -267,12 +267,14 @@ def test_pd_tables_are_kept_for_the_last_shadow(cases, pins):
                  f"{b}/zeros"):
         assert cd.emit(cases[name], "pd") == pins[name]["pd"], name
     # an equal shadow that is another object reuses the last tables
-    tables = cd._pd_tables
+    before = cd._pd_rows.cache_info()
+    assert before.maxsize == before.currsize == 1
     s = cases[f"{b}/zeros"].shadow
     copy = pm.Shadow(s.n, tuple(list(s.twin)), s.free_loops, s.outer_face)
     assert copy == s and copy is not s
     assert cd.emit(iv.alternating_diagram(copy), "pd") == pins[f"{b}/alternating"]["pd"]
-    assert cd._pd_tables is tables
+    after = cd._pd_rows.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     # a link between two knots
     for name in ("ring_link6/0", "ring_link6/zeros", f"{a}/zeros"):
         assert cd.emit(cases[name], "pd") == pins[name]["pd"], name

@@ -294,6 +294,35 @@ def test_restrict_keeps_the_survivor_bits_in_child_order():
     assert sizes == {0, 1, 2}
 
 
+@pytest.mark.parametrize("route", ("digons-odd", "digons-even"))
+def test_replay_rejects_a_split_whose_bigon_is_no_face(route):
+    # the first split level of every output, with its bigon moved to two
+    # edges that bound no 2-face of the shadow it applies to
+    res = _route_result(route)
+    d = res.diagrams[0]
+    shadow, bits = d.shadow, d.bits
+    for k, level in enumerate(res.levels[:-1]):
+        move = level.options[0]
+        if move.bigon is not None:
+            break
+        shadow, bits = move.child, move.apply(shadow, bits)
+    else:
+        raise AssertionError("no split level")
+    faces = {frozenset(shadow.edge_id(x) for x in f)
+             for f in pm.faces(shadow) if len(f) == 2}
+    assert move.bigon in faces
+    bad = next(frozenset(pair) for pair in itertools.combinations(shadow.edges(), 2)
+               if frozenset(pair) not in faces)
+    with pytest.raises(InternalInvariantViolation, match="not a bigon face"):
+        dataclasses.replace(move, bigon=bad).apply(shadow, bits)
+    levels = list(res.levels)
+    levels[k] = dataclasses.replace(level, options=tuple(
+        dataclasses.replace(m, bigon=bad) for m in level.options))
+    tampered = dataclasses.replace(res, levels=tuple(levels))
+    assert all(_replays_alone(res, i) for i in range(res.count))
+    assert not any(gn.replay_certificate(tampered, i) for i in range(res.count))
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_replay_all_checks_every_output(route):
     # replays share certificate suffixes between outputs; one non-first

@@ -155,16 +155,19 @@ def walk_writhe(diagram):
 
 
 def _counting(monkeypatch, name):
-    """Count the calls of an ``iv`` function, by its argument's twin table."""
-    calls = []
-    real = getattr(iv, name)
+    """Give the cached ``iv`` function ``name`` an empty cache of its size,
+    for the test only, and list the argument of each build of its body."""
+    builds = []
+    cached = getattr(iv, name)
+    real = cached.__wrapped__
 
-    def counted(shadow):
-        calls.append(shadow.twin)
-        return real(shadow)
+    def counted(arg):
+        builds.append(arg)
+        return real(arg)
 
-    monkeypatch.setattr(iv, name, counted)
-    return calls
+    maxsize = cached.cache_info().maxsize
+    monkeypatch.setattr(iv, name, functools.lru_cache(maxsize)(counted))
+    return builds
 
 
 def test_warm_plans_give_the_oracle_bracket_on_every_assignment(monkeypatch):
@@ -173,70 +176,67 @@ def test_warm_plans_give_the_oracle_bracket_on_every_assignment(monkeypatch):
     figure8 = pm.standard_figure8()
     shadows = [pm.one_vertex(), pm.cn(5), pm.Shadow(figure8.n, figure8.twin, 2),
                pm.connected_sum(figure8, figure8), doubled_ring_link(3)]
-    monkeypatch.setattr(iv, "_record", None)
     plans = _counting(monkeypatch, "_bracket_plan")
     signs = _counting(monkeypatch, "_writhe_signs")
     seen = 0
-    for s in shadows:
-        rec = iv._shadow_record(s)
+    for k, s in enumerate(shadows):
+        link = False
         for d in iv.assignments(s):
             assert iv.kauffman_bracket(d) == oracle_bracket(d), (s, d.bits)
             try:
                 want = walk_writhe(d)
             except ShadowError as e:
                 want = type(e)
+                link = True
             try:
                 got = iv.writhe(d)
             except ShadowError as e:
                 got = type(e)
             assert got == want, (s, d.bits)
             seen += 1
-        assert plans.count(s.twin) == 1 and list(rec.plans) == [s.twin]
-        if s.twin in rec.signs:             # a knot shadow: signs taken once
+        assert plans == [t.twin for t in shadows[:k + 1]]
+        if not link:                        # a knot shadow: signs taken once
             assert signs.count(s.twin) == 1
         else:                               # a link has no walk: it raises
             assert signs.count(s.twin) == 1 << s.n
     assert seen == 2 + 32 + 16 + 256 + 8
 
 
-def test_plans_live_with_the_shadow_record(monkeypatch):
-    monkeypatch.setattr(iv, "_record", None)
+def test_pure_results_outlive_the_shadow_record(monkeypatch):
     plans = _counting(monkeypatch, "_bracket_plan")
     with pytest.raises(LimitExceeded):      # before any plan is taken
         iv.kauffman_bracket(iv.Diagram(pm.cn(5), (0,) * 5), limit=4)
     assert plans == []
-    # with no record, every call takes its plan afresh
+    # equal n, twin tables apart: two plans, never one for both
     a, b = pm.cn(5), pm.random_shadow(5, 3)
     assert a.n == b.n and a.twin != b.twin
     diagrams = [iv.Diagram(s, bits) for s in (a, b, a, b)
                 for bits in ((0, 1, 1, 0, 1), (1, 1, 0, 0, 0))]
     for d in diagrams:
         assert iv.kauffman_bracket(d) == oracle_bracket(d)
-    assert len(plans) == len(diagrams)
-    # equal n, twin tables apart: two plans, never one for both
-    rec = iv._shadow_record(pm.cn(7))
-    plans.clear()
-    for d in diagrams:
-        assert iv.kauffman_bracket(d) == oracle_bracket(d)
         assert iv.writhe(d) == walk_writhe(d)
     assert plans == [a.twin, b.twin]
-    assert set(rec.plans) == set(rec.signs) == {a.twin, b.twin}
-    assert rec.plans[a.twin] is not rec.plans[b.twin]
-    # a new record starts without plans; the old one's go with it
-    new = iv._shadow_record(b)
-    assert new is not rec and iv._record is new
-    assert new.plans == {} and new.signs == {}
-    iv.kauffman_bracket(diagrams[2])
-    assert list(new.plans) == [b.twin]
-    # past the cap, a plan is taken but not kept
-    monkeypatch.setattr(iv, "_MEMO_CAP", 3)
-    shadows = [pm.random_shadow(6, seed) for seed in range(6)]
-    for s in shadows:
-        for bits in ((0,) * 6, (1, 0) * 3):
-            d = iv.Diagram(s, bits)
-            assert iv.kauffman_bracket(d) == oracle_bracket(d)
-            assert iv.writhe(d) == walk_writhe(d)
-    assert len(new.plans) == len(new.signs) == 3
+    # classify every diagram on A, then on B, then on A again: B's record
+    # evicts A's, but no plan is built and no polynomial evaluated twice
+    polys = []
+    _counting(monkeypatch, "_poly_class")
+    real = iv.normalized_poly
+
+    def counted(diagram, limit=iv.DEFAULT_LIMIT):
+        polys.append(diagram)
+        return real(diagram, limit)
+
+    monkeypatch.setattr(iv, "normalized_poly", counted)
+    monkeypatch.setattr(iv, "_record", None)
+    a, b = pm.cn(7), pm.random_shadow(8, 5)
+    plans.clear()
+    verdicts = []
+    for s in (a, b, a):
+        verdicts.append([iv.classify(d) for d in iv.assignments(s)])
+        assert iv._record.shadow == s
+    assert verdicts[0] == verdicts[2]
+    assert len(set(plans)) == len(plans) > 1
+    assert len(set(polys)) == len(polys) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +809,7 @@ def _plain_verdict(rec, diagram, limit, riii_depth):
     bits = tuple(diagram.bits[v] for v in rec.keep)
     reduced, _ = iv.simplify(iv.Diagram(rec.quotient, bits), riii_depth)
     try:
-        return rec.residue_class(reduced, limit)
+        return iv.residue_class(reduced, limit)
     except ShadowError as e:
         return type(e)
 
@@ -876,15 +876,17 @@ def _tree_size(node):
     return _tree_size(node[3]) + _tree_size(node[4])
 
 
-def test_memos_stop_growing_at_the_cap():
+def test_memos_stop_growing_at_the_cap(monkeypatch):
     # the tree fills at the 4,372nd assignment: below it some diagrams
     # share a leaf, as they agree on every bit their run reads
+    _counting(monkeypatch, "_poly_class")
     s = pm.cn(13)
     for d in itertools.islice(iv.assignments(s), iv._MEMO_CAP + 512):
         iv.classify(d)
     rec = iv._shadow_record(s)
     assert len(rec.verdicts) == iv._MEMO_CAP < 1 << s.n
-    assert 0 < len(rec.residues) <= iv._MEMO_CAP
+    residues = iv._poly_class.cache_info()
+    assert 0 < residues.currsize <= residues.maxsize == iv._MEMO_CAP
     assert _tree_size(rec.root) == rec.nodes == iv._MEMO_CAP
 
 
@@ -1199,16 +1201,16 @@ def test_census_keys_are_sound():
 def _trefoil_left_raises(monkeypatch):
     """Make ``residue_class`` raise, naming the residue, wherever the true
     class is trefoil_left."""
-    real = iv._ShadowRecord.residue_class
+    real = iv.residue_class
 
-    def patched(self, reduced, limit):
-        cls = real(self, reduced, limit)
+    def patched(reduced, limit):
+        cls = real(reduced, limit)
         if cls.kind == "trefoil_left":
             raise PreconditionViolated(
                 f"trefoil_left at {reduced.shadow.twin} {reduced.bits}")
         return cls
 
-    monkeypatch.setattr(iv._ShadowRecord, "residue_class", patched)
+    monkeypatch.setattr(iv, "residue_class", patched)
     monkeypatch.setattr(iv, "_record", None)    # drop memoized verdicts
 
 
@@ -1251,7 +1253,7 @@ def test_census_walk_returns_the_least_failure_mask(monkeypatch):
         for cap in (0, iv._CENSUS_CAP):
             monkeypatch.setattr(iv, "_CENSUS_CAP", cap)
             state = iv._Mut(iv.Diagram(rec.quotient, (None,) * q), shapes={})
-            _, (mask, error) = iv._census_walk(rec, state, iv.DEFAULT_LIMIT, {})
+            _, (mask, error) = iv._census_walk(state, iv.DEFAULT_LIMIT, {})
             got.append((mask, str(error)))
         assert got[0] == got[1], s
         least = None
