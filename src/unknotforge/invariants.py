@@ -307,29 +307,39 @@ def normalized_poly(diagram: Diagram, limit: int = DEFAULT_LIMIT) -> LaurentPoly
 # Move-based simplification
 # ---------------------------------------------------------------------------
 
-class _Unknown(Exception):
-    """A move test read a bit that is not set; ``args[0]`` is its vertex."""
+class _Pause(Exception):
+    """A run stops before a move test: ``args[0]`` is the vertex of the
+    unknown bit the test read, or -1 when the run's log is full."""
 
 
 class _Mut:
     """Mutable diagram state of one greedy simplifier run.  A vertex is
     live while its darts are paired: removal sets them to -1.
 
-    ``bits[v]`` may be None (unknown).  A move test that meets an unknown
-    bit asks ``read`` for it before it changes anything: a run with a
-    ``source`` takes the bit from it and appends ``(v, bit)`` to ``log``,
-    one without raises ``_Unknown``.  Beside the diagram the state holds the
-    run's position (the heap of queued vertices, ``work`` and ``queued``,
-    and ``scan``, the vertex where the type-A scan resumes) and the move
-    log.  ``shapes``, when not None, memoizes the bit-free half of the
-    type-A test on the twin table; ``row`` is the entry of the current
-    twin.
+    The moves read bits only to ask whether a strand passes on one side at
+    each dart of a group: whether ``(d & 1) == bits[d >> 2]`` is alike over
+    the group.  A move test asks it of its groups in order and applies the
+    move of the first group that is one-sided.  A state runs in one of two
+    modes.  With ``log`` None (the census, ``simplify``) ``bits[v]`` may be
+    None (unknown), and a test that meets an unknown bit raises ``_Pause``
+    before it changes anything.  With ``log`` a list (classify's tree),
+    every bit is set, and each test whose outcome depends on the bits is
+    logged as ``(groups, k)``: its dart groups and the index of the first
+    one-sided group, -1 if none.  The groups and the state a test leaves
+    depend on the state before it and on ``k`` only, never on the bits.
+
+    Beside the diagram the state holds the run's position (the heap of
+    queued vertices, ``work`` and ``queued``, and ``scan``, the vertex where
+    the type-A scan resumes), the move log, and ``stop``, the length of
+    ``log`` at which a logging run pauses.  ``shapes``, when not None,
+    memoizes the bit-free half of the type-A test on the twin table; ``row``
+    is the entry of the current twin.
     """
 
     __slots__ = ("twin", "bits", "free_loops", "work", "queued", "scan",
-                 "moves", "shapes", "row", "source", "log")
+                 "moves", "shapes", "row", "log", "stop")
 
-    def __init__(self, diagram: Diagram, shapes=None):
+    def __init__(self, diagram: Diagram, shapes=None, logged=False):
         n = diagram.n
         self.twin = list(diagram.shadow.twin)
         self.bits = list(diagram.bits)
@@ -340,15 +350,21 @@ class _Mut:
         self.moves = []
         self.shapes = shapes
         self.row = None
-        self.source = None
-        self.log = []
+        self.log = [] if logged else None
+        self.stop = None
 
     def fork(self, v, bit):
         """A copy of the state with bit ``v`` set to ``bit``."""
+        new = self.with_bits(self.bits)
+        new.bits[v] = bit
+        return new
+
+    def with_bits(self, bits):
+        """A copy of the state that goes on with the bit vector ``bits``; a
+        logging state's copy starts an empty log."""
         new = _Mut.__new__(_Mut)
         new.twin = self.twin[:]
-        new.bits = self.bits[:]
-        new.bits[v] = bit
+        new.bits = list(bits)
         new.free_loops = self.free_loops
         new.work = self.work[:]
         new.queued = self.queued[:]
@@ -356,8 +372,8 @@ class _Mut:
         new.moves = self.moves[:]
         new.shapes = self.shapes
         new.row = self.row
-        new.source = None
-        new.log = []
+        new.log = None if self.log is None else []
+        new.stop = None
         return new
 
     def key(self):
@@ -379,7 +395,7 @@ class _Mut:
         the live vertices, the ranks of the live vertices in ``work``,
         ``scan`` as the number of live vertices below it, and
         ``free_loops``.  ``shapes`` and ``row`` cache functions of the twin
-        table; the census never reads ``moves``.
+        table; the census never reads ``moves`` and logs nothing.
         """
         twin, bits, work = self.twin, self.bits, self.work
         n = len(self.queued)
@@ -395,14 +411,19 @@ class _Mut:
                 tuple(sorted([rank[v] for v in work if twin[4 * v] >= 0])),
                 bisect_left(live, self.scan), self.free_loops), live
 
-    def read(self, v):
-        """The unknown bit of ``v``: set from ``source`` and logged, or
-        ``_Unknown`` raised when the run has no source."""
-        if self.source is None:
-            raise _Unknown(v)
-        b = self.bits[v] = self.source[v]
-        self.log.append((v, b))
-        return b
+    def test(self, groups):
+        """The logged outcome of a move test over ``groups``: the index of
+        the first one-sided group, -1 if none.  A test whose first group has
+        one dart has outcome 0 whatever the bits, and is not logged.  A run
+        whose log holds ``stop`` entries pauses here instead."""
+        if len(groups[0]) == 1:
+            return 0
+        log = self.log
+        if len(log) == self.stop:
+            raise _Pause(-1)
+        k = _first_one_sided(groups, self.bits)
+        log.append((groups, k))
+        return k
 
     def excise(self, through, deleted=()):
         """Remove the vertices named in ``through`` by ``planemap.splice``;
@@ -428,28 +449,22 @@ class _Mut:
             walks = row[v] = _type_a_walks(self.twin, v)
         return walks
 
-    def run(self, source=None):
+    def run(self, stop=None):
         """Apply greedy moves until none applies: curl and bigon removals
         from the heap, lowest vertex first; when it is empty, the first
         type-A collapse of a scan in vertex order, which queues every live
         vertex again.
 
-        Without ``source`` the run pauses: it returns None when done, or the
-        vertex of an unknown bit that a move test read; the test changed
-        nothing, and the next call retries it.  A scan that stopped resumes
-        at its stop vertex: the vertices before it had no collapse, each
-        for a walk with a known crossing of each kind or for none at all,
-        and setting a bit changes neither.
-
-        With ``source``, a bit vector of the diagram, the run reads on
-        demand and goes on to its end: each unknown bit that a test meets
-        is set from ``source`` and logged in ``log`` as ``(vertex, bit)``,
-        and the test goes on or starts again at the same vertex, as the
-        retry would.  So ``log`` lists the pauses that a paused run fed the
-        same bits would make, in order, and the two runs end alike.
+        Returns None when done.  Otherwise the run paused before a move
+        test, which changed nothing, and the next call retries it: it
+        returns the vertex of an unknown bit the test read, or -1 when a
+        logging run was given ``stop`` and its log holds ``stop`` entries.
+        A scan that stopped resumes at its stop vertex: the vertices before
+        it had no collapse, each for a walk with a known crossing of each
+        kind or for none at all, and neither setting a bit nor going on with
+        bits that give the logged tests the same outcomes changes that.
         """
-        self.source = source
-        self.log = []
+        self.stop = stop
         twin, work, queued = self.twin, self.work, self.queued
         n = len(queued)
         scan = self.scan
@@ -482,7 +497,7 @@ class _Mut:
                 work[:] = [u for u in range(n) if twin[4 * u] >= 0]
                 for u in work:
                     queued[u] = True
-        except _Unknown as e:
+        except _Pause as e:
             self.scan = scan
             return e.args[0]
 
@@ -490,6 +505,20 @@ class _Mut:
         twin, order = pm.renumber(self.twin)
         shadow = pm.Shadow(len(order), twin, self.free_loops, 0)
         return Diagram(shadow, tuple(self.bits[v] for v in order)), order
+
+
+def _first_one_sided(groups, bits):
+    """The index of the first dart group whose strand passes on one side
+    at every dart of it, -1 if none."""
+    for k, group in enumerate(groups):
+        d = group[0]
+        side = (d & 1) ^ bits[d >> 2]
+        for d in group:
+            if (d & 1) ^ bits[d >> 2] != side:
+                break
+        else:
+            return k
+    return -1
 
 
 def _straight_through_mut(vertices):
@@ -521,46 +550,59 @@ def _try_r1(state: _Mut, v):
 
 
 def _try_r2(state: _Mut, v):
-    """Remove a bigon at ``v`` whose strand passes over (or under) both of
-    its crossings.  The neighbours returned are the vertices at the four
-    outer ends, ``v`` and ``w`` among them when an end is a loop edge; both
-    are removed."""
+    """Remove the first bigon at ``v``, in slot order, whose strand passes
+    over (or under) both of its crossings.  A logging state tests all the
+    bigons at ``v`` as one logged test, a group ``(d, t)`` each.  The
+    neighbours returned are the vertices at the four outer ends, ``v`` and
+    ``w`` among them when an end is a loop edge; both are removed."""
     twin, bits = state.twin, state.bits
     base = 4 * v
     ts = twin[base:base + 4]
+    groups = None if state.log is None else []
+    hit = None
     for s in range(4):
         t = ts[s]
         w = t >> 2
-        if w == v:
-            continue
-        # d and d2, the dart before it at v, bound a bigon with t and
-        # x = rotate(t) at w when twin[d2] == x
-        x = (t & ~3) | ((t + 1) & 3)
-        if ts[s - 1] != x:
+        # d and the dart before it at v bound a bigon with t and
+        # x = rotate(t) at w when the dart before it is paired to x
+        if w == v or ts[s - 1] != (t & ~3) | ((t + 1) & 3):
             continue
         d = base + s
+        if groups is not None:
+            groups.append((d, t))
+            continue
         bv = bits[v]
         if bv is None:
-            bv = state.read(v)
+            raise _Pause(v)
         bw = bits[w]
         if bw is None:
-            bw = state.read(w)
-        if ((d & 1) == bv) != ((t & 1) == bw):
-            continue
-        d2 = base + (s - 1) % 4
-        ends = (twin[d ^ 2], twin[t ^ 2], twin[d2 ^ 2], twin[x ^ 2])
-        neighbours = [e >> 2 for e in ends]
-        if v not in neighbours and w not in neighbours:
-            a1, b1, a2, b2 = ends
-            twin[a1] = b1
-            twin[b1] = a1
-            twin[a2] = b2
-            twin[b2] = a2
-            twin[base:base + 4] = twin[4 * w:4 * w + 4] = (-1, -1, -1, -1)
-        else:
-            state.excise(_straight_through_mut((v, w)))
-        return ("r2", v, w), neighbours
-    return None
+            raise _Pause(w)
+        if ((d & 1) == bv) == ((t & 1) == bw):
+            hit = d
+            break
+    if groups:
+        k = state.test(groups)
+        if k >= 0:
+            hit = groups[k][0]
+    if hit is None:
+        return None
+    d = hit
+    t = twin[d]
+    w = t >> 2
+    x = (t & ~3) | ((t + 1) & 3)
+    d2 = (d & ~3) | ((d - 1) & 3)
+    ends = (twin[d ^ 2], twin[t ^ 2], twin[d2 ^ 2], twin[x ^ 2])
+    neighbours = [e >> 2 for e in ends]
+    if v not in neighbours and w not in neighbours:
+        a1, b1, a2, b2 = ends
+        twin[a1] = b1
+        twin[b1] = a1
+        twin[a2] = b2
+        twin[b2] = a2
+        twin[base:base + 4] = twin[4 * w:4 * w + 4] = (-1, -1, -1, -1)
+    else:
+        state.excise(_straight_through_mut((v, w)))
+    return ("r2", v, w), neighbours
 
 
 def _type_a_walks(twin, v):
@@ -581,37 +623,47 @@ def _type_a_walks(twin, v):
 
 
 def _try_type_a(state: _Mut, v):
-    """Collapse a walk from ``v`` whose strand passes over (or under) every
-    crossing inside it."""
-    for walk, interior in state.type_a_walks(v):
-        over = _one_sided(state, walk)
-        if over is not None:
-            side = pm.OVER if over else pm.UNDER
-            state.excise(pm.cycle_through(state.twin, walk), walk)
-            return ("ta", v, side, interior), set()
-    return None
+    """Collapse the first walk from ``v`` whose strand passes over (or
+    under) every crossing inside it.  A logging state tests the walks as
+    one logged test, with the darts after each walk's first as its group."""
+    walks = state.type_a_walks(v)
+    if not walks:
+        return None
+    if state.log is None:
+        for walk, interior in walks:
+            over = _one_sided(state.bits, walk)
+            if over is not None:
+                break
+        else:
+            return None
+    else:
+        k = state.test([walk[1:] for walk, _ in walks])
+        if k < 0:
+            return None
+        walk, interior = walks[k]
+        over = (walk[1] & 1) == state.bits[walk[1] >> 2]
+    side = pm.OVER if over else pm.UNDER
+    state.excise(pm.cycle_through(state.twin, walk), walk)
+    return ("ta", v, side, interior), set()
 
 
-def _one_sided(state: _Mut, walk):
+def _one_sided(bits, walk):
     """Whether the walk's strand passes over every crossing inside it (True)
     or under every one (False); None when it does neither.  A walk with a
     known crossing of each kind is passed over before any unknown bit on it
-    is read; otherwise the last unknown bit is read and the walk scanned
-    again."""
-    bits = state.bits
-    while True:
-        over = unknown = None
-        for d in walk[1:]:
-            b = bits[d >> 2]
-            if b is None:
-                unknown = d >> 2
-            elif over is None:
-                over = (d & 1) == b
-            elif over != ((d & 1) == b):
-                return None
-        if unknown is None:
-            return over
-        state.read(unknown)
+    is read; otherwise the test pauses on the last unknown bit."""
+    over = unknown = None
+    for d in walk[1:]:
+        b = bits[d >> 2]
+        if b is None:
+            unknown = d >> 2
+        elif over is None:
+            over = (d & 1) == b
+        elif over != ((d & 1) == b):
+            return None
+    if unknown is not None:
+        raise _Pause(unknown)
+    return over
 
 
 def simplify(diagram: Diagram, riii_depth: int = 0):
@@ -621,21 +673,27 @@ def simplify(diagram: Diagram, riii_depth: int = 0):
     The move set never increases the crossing count, so the result has at
     most as many crossings and represents the same knot.  With
     ``riii_depth`` > 0 a bounded search over triangle slides is tried each
-    time the greedy moves stall; ``("r3", None)`` logs a slide, and the
-    moves after it name the vertices of the reduced diagram it slid.
+    time the greedy moves stall (``_slide_loop``).
     """
     state = _Mut(diagram)
     if state.run() is not None:
         raise PreconditionViolated("simplify needs every bit set")
     out, _ = state.to_diagram()
-    moves = state.moves
-    while out.n and riii_depth > 0:
-        found = _riii_search(out, riii_depth)
+    return _slide_loop(out, state.moves, riii_depth)
+
+
+def _slide_loop(reduced: Diagram, moves: list, riii_depth: int):
+    """Go on from a diagram where the greedy moves stall: a bounded search
+    over triangle slides each time they stall, at ``riii_depth`` > 0.
+    ``("r3", None)`` logs a slide, and the moves after it name the vertices
+    of the reduced diagram it slid; they are appended to ``moves``."""
+    while reduced.n and riii_depth > 0:
+        found = _riii_search(reduced, riii_depth)
         if found is None:
             break
-        out, slid_moves = found
+        reduced, slid_moves = found
         moves += [("r3", None)] + slid_moves
-    return out, moves
+    return reduced, moves
 
 
 def riii_moves(diagram: Diagram):
@@ -833,24 +891,31 @@ class _ShadowRecord:
     ``riii_depth``.
 
     The greedy runs of the quotient's diagrams share a path-compressed
-    tree, grown as diagrams arrive.  Each node is reached by an edge that
-    holds ``log``, the ``(vertex, bit)`` reads of one run between the
-    node's start and its end: a diagram whose bits agree with the log runs
-    through the edge as that run did.  A leaf is ``[log, None, reduced,
-    unread]``: the diagram the run left, with ``unread`` the (reduced
-    vertex, quotient vertex) of each live bit it never read.  A branch is
-    ``[log, u, paused, child0, child1]``: the run paused on the unknown bit
-    ``u`` after the log, and the nodes that go on with ``u`` set to 0 and
-    to 1.  The root starts from the run with every bit unknown, a child
-    from its parent's paused state with ``u`` set.
+    tree, grown as diagrams arrive.  A run's moves, and the shadow it
+    leaves, depend only on the outcomes of its logged move tests (see
+    ``_Mut``), and the residue's bits are the diagram's own bits at the
+    surviving vertices.  So the tree branches on test outcomes, not on
+    bits.  Each node is reached by an edge that holds ``log``, the
+    ``(groups, k)`` tests of one run between the node's start and its end:
+    a diagram whose bits give every test its logged outcome runs through
+    the edge as that run did.  A leaf is ``[log, None, shadow, order]``:
+    the shadow the run left, with ``order`` the quotient vertex of each of
+    its vertices, from which a diagram takes its bits.  A branch is
+    ``[log, groups, paused, children]``: the run paused after the log,
+    before a test over ``groups``, and ``children`` maps each outcome of
+    that test met so far to the node that goes on from it.  The root starts
+    from a run of the whole quotient, a child from its parent's paused
+    state.
 
-    A diagram that walks off the tree, at a read where its bit differs from
-    the log, splits that edge: the edge's start is run again in pause mode
-    with the agreed reads set, which stops at that read, and a new leaf
-    goes on from there reading the diagram's bits on demand.  So the tree
-    has one leaf per run that reached an end, and it branches only where
-    two of its diagrams part.  It does not depend on ``limit`` or
-    ``riii_depth`` and stops growing at ``_MEMO_CAP`` leaves.
+    A diagram that walks off the tree, at a test whose outcome differs from
+    the log, splits that edge: the edge's start is run again with the
+    diagram's bits until its log holds the agreed tests, and a new leaf
+    goes on from there.  A diagram with an outcome new to a branch adds a
+    leaf there.  So the tree has one leaf per sequence of test outcomes
+    that reached an end, and diagrams that differ only in which strand of a
+    removed bigon or collapsed walk is on top share one.  It does not
+    depend on ``limit`` or ``riii_depth`` and stops growing at
+    ``_MEMO_CAP`` leaves.
 
     The record holds only what depends on its shadow's bits.  The pure
     results on the residues (bracket plans, writhe signs, polynomial
@@ -879,13 +944,11 @@ class _ShadowRecord:
 
     def verdict(self, bits: tuple, limit: int, riii_depth: int) -> KnotClass:
         """The class of the quotient diagram with these bits: that of its
-        greedy residue, after the triangle-slide search at ``riii_depth``."""
+        greedy residue, after the triangle-slide loop at ``riii_depth``."""
         key = (bits, limit, riii_depth)
         cls = self.verdicts.get(key)
         if cls is None:
-            reduced = self.residue(bits)
-            if reduced.n and riii_depth > 0:
-                reduced, _ = simplify(reduced, riii_depth)
+            reduced, _ = _slide_loop(self.residue(bits), [], riii_depth)
             cls = residue_class(reduced, limit)
             if len(self.verdicts) < _MEMO_CAP:
                 self.verdicts[key] = cls
@@ -893,61 +956,65 @@ class _ShadowRecord:
 
     def residue(self, bits: tuple) -> Diagram:
         """The diagram that ``simplify`` at RIII depth 0 leaves of the
-        quotient diagram with these bits: read down the tree, or simplified
+        quotient diagram with these bits: read off its leaf, or simplified
         from scratch when the tree would have to grow past its cap."""
-        node = self.root
-        if node is None:
-            node = self.root = self._leaf(self._start(), bits)
-        parent = None
+        leaf = self._leaf_of(bits)
+        if leaf is None:
+            return simplify(Diagram(self.quotient, bits))[0]
+        return Diagram(leaf[2], tuple([bits[v] for v in leaf[3]]))
+
+    def _leaf_of(self, bits: tuple):
+        """The leaf these bits walk to, grown when it is not in the tree
+        yet; None when the tree is full."""
+        if self.root is None:
+            self.root = self._leaf(self._start(bits), 0)
+            return self.root
+        full = self.nodes >= _MEMO_CAP
+        node, parent = self.root, None
         while True:
-            for i, (v, b) in enumerate(node[0]):
-                if bits[v] != b:
-                    if self.nodes >= _MEMO_CAP:
-                        return simplify(Diagram(self.quotient, bits))[0]
-                    node = self._split(node, parent, i, bits)
-                    break
+            for i, (groups, k) in enumerate(node[0]):
+                if _first_one_sided(groups, bits) != k:
+                    return None if full else self._split(node, parent, i, bits)
             if node[1] is None:
-                break
-            parent = node
-            node = node[3 + bits[node[1]]]
-        _, _, reduced, unread = node
-        if not unread:
-            return reduced
-        leaf_bits = list(reduced.bits)
-        for i, v in unread:
-            leaf_bits[i] = bits[v]
-        return Diagram(reduced.shadow, tuple(leaf_bits))
+                return node
+            k = _first_one_sided(node[1], bits)
+            child = node[3].get(k)
+            if child is None:
+                if full:
+                    return None
+                child = node[3][k] = self._leaf(node[2].with_bits(bits), 1)
+                return child
+            parent, node = node, child
 
-    def _start(self) -> _Mut:
-        """The run with every bit unknown."""
-        return _Mut(Diagram(self.quotient, (None,) * len(self.keep)), self.shapes)
+    def _start(self, bits: tuple) -> _Mut:
+        """The logging run of the quotient diagram with these bits."""
+        return _Mut(Diagram(self.quotient, bits), self.shapes, logged=True)
 
-    def _leaf(self, state: _Mut, bits: tuple) -> list:
-        """The leaf of a run that goes on from ``state`` to its end, reading
-        the unknown bits it meets from ``bits``."""
+    def _leaf(self, state: _Mut, skip: int) -> list:
+        """The leaf of a run that goes on from ``state`` to its end; the
+        first ``skip`` tests it logs lie above the leaf's edge."""
         self.nodes += 1
-        state.run(bits)
+        if state.run() is not None:
+            raise InternalInvariantViolation("a logging run paused without a stop")
         reduced, order = state.to_diagram()
-        unread = [(i, order[i]) for i, b in enumerate(reduced.bits) if b is None]
-        return [state.log, None, reduced, unread]
+        return [state.log[skip:], None, reduced.shadow, order]
 
     def _split(self, node: list, parent, i: int, bits: tuple) -> list:
-        """Make ``node`` a branch on the ``i``-th read of its log, where
-        ``bits`` differ from it, and return the new leaf of ``bits``."""
+        """Make ``node`` a branch on the ``i``-th test of its log, where
+        ``bits`` give another outcome, and return the new leaf of ``bits``."""
         log = node[0]
         if parent is None:
-            state = self._start()
+            state, skip = self._start(bits), 0
         else:
-            u = parent[1]
-            state = parent[2].fork(u, bits[u])
-        for v, b in log[:i]:
-            state.bits[v] = b
-        v, b = log[i]
-        if state.run() != v:
+            state, skip = parent[2].with_bits(bits), 1
+        if state.run(skip + i) != -1:
             raise InternalInvariantViolation("a re-run did not pause where its log parts")
-        rest = [log[i + 1:]] + node[1:]
-        leaf = self._leaf(state.fork(v, bits[v]), bits)
-        node[:] = [log[:i], v, state] + ([rest, leaf] if b == 0 else [leaf, rest])
+        groups, k = log[i]
+        state.log.clear()
+        leaf = self._leaf(state.with_bits(bits), 1)
+        children = {k: [log[i + 1:]] + node[1:],
+                     _first_one_sided(groups, bits): leaf}
+        node[:] = [log[:i], groups, state, children]
         return leaf
 
 
@@ -977,12 +1044,13 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     bits restricted to its vertices; removing a curl keeps the knot.  The
     last shadow classified keeps its record: verdicts memoized on the
     restricted bits, ``limit`` and ``riii_depth``, and one path-compressed
-    tree of greedy simplifier runs.  The classes of residues are cached
-    behind ``residue_class``.
-    A diagram follows the read logs of the tree's edges while its bits
-    agree with them, and simplifies only from the first logged read where
-    they differ, reading its own bits as the run meets them.  Repeated
-    verdicts cost a lookup.
+    tree of greedy simplifier runs that branches on the outcomes of the
+    move tests.  The classes of residues are cached behind
+    ``residue_class``.  A diagram follows the tree's edges while its bits
+    give the logged tests their logged outcomes, and simplifies only from
+    the first test where they do not.  A leaf keeps the residue's shadow,
+    and the diagram's own bits at the surviving vertices complete it.
+    Repeated verdicts cost a lookup.
     """
     rec = _shadow_record(diagram.shadow)
     bits = diagram.bits

@@ -213,11 +213,15 @@ def depth(shadow: Shadow) -> int:
 # ---------------------------------------------------------------------------
 
 def component_report(shadow: Shadow) -> ComponentReport:
+    return _component_report(shadow, graph_components(shadow))
+
+
+def _component_report(shadow: Shadow, comps) -> ComponentReport:
+    """``component_report`` from the shadow's ``graph_components``."""
     orbits = sigma_orbits(shadow)
     if len(orbits) % 2:
         raise InternalInvariantViolation("odd straight-ahead orbit count")
     curves = len(orbits) // 2
-    comps = graph_components(shadow)
     connected = len(comps) <= 1
     total_curves = curves + shadow.free_loops
     if shadow.n == 0:
@@ -254,10 +258,10 @@ def validate_shadow(shadow: Shadow) -> ComponentReport:
     if shadow.free_loops < 0:
         raise NotInvolution("free_loops must be nonnegative")
     # Euler's formula per connected component (sphere embedding each).
+    comps = graph_components(shadow)
     if shadow.n:
         fs = faces(shadow)
         comp_of_vertex = {}
-        comps = graph_components(shadow)
         for i, comp in enumerate(comps):
             for v in comp:
                 comp_of_vertex[v] = i
@@ -272,7 +276,7 @@ def validate_shadow(shadow: Shadow) -> ComponentReport:
                     f"component {i}: V-E+F = {v}-{2 * v}+{f_count[i]} != 2")
         if shadow.outer_face is None or not 0 <= shadow.outer_face < len(fs):
             raise MissingOuterFace(f"outer face id {shadow.outer_face} out of range")
-    return component_report(shadow)
+    return _component_report(shadow, comps)
 
 
 def build_shadow(twin_pairs, free_loops: int = 0, outer_face=None,

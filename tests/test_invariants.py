@@ -826,6 +826,11 @@ def _tree_cases():
                      for _ in range(8)]
         groups.append(diagrams)
     groups.append(list(iv.assignments(doubled_ring_link(4))))
+    # every diagram of a twist chain: their runs part in C(9, 4) = 126 ways,
+    # so this tree grows past 100 leaves where the generated outputs, which
+    # mostly differ in which strand of a removed bigon or walk is on top,
+    # share far fewer
+    groups.append(list(iv.assignments(pm.cn(9))))
     plain = {}
     for diagrams in groups:
         rec = iv._ShadowRecord(diagrams[0].shadow)
@@ -867,27 +872,75 @@ def test_tree_verdicts_equal_plain_verdicts(monkeypatch, cap):
 
 
 def _tree_size(node):
-    """The leaves of a classify tree: ``[log, None, reduced, unread]`` is
-    a leaf, ``[log, u, paused, child0, child1]`` a branch."""
+    """The leaves of a classify tree: ``[log, None, shadow, order]`` is a
+    leaf, ``[log, groups, paused, children]`` a branch whose children are
+    keyed by test outcome."""
     if node is None:
         return 0
     if node[1] is None:
         return 1
-    return _tree_size(node[3]) + _tree_size(node[4])
+    return sum(_tree_size(child) for child in node[3].values())
 
 
 def test_memos_stop_growing_at_the_cap(monkeypatch):
-    # the tree fills at the 4,372nd assignment: below it some diagrams
-    # share a leaf, as they agree on every bit their run reads
+    # the tree fills at the 9,826th assignment: below it many diagrams
+    # share a leaf, as their runs' tests have equal outcomes (the 8,192
+    # diagrams of cn(13) share 1,716 leaves)
     _counting(monkeypatch, "_poly_class")
-    s = pm.cn(13)
-    for d in itertools.islice(iv.assignments(s), iv._MEMO_CAP + 512):
+    s = pm.cn(15)
+    for d in itertools.islice(iv.assignments(s), 10_240):
         iv.classify(d)
     rec = iv._shadow_record(s)
     assert len(rec.verdicts) == iv._MEMO_CAP < 1 << s.n
     residues = iv._poly_class.cache_info()
     assert 0 < residues.currsize <= residues.maxsize == iv._MEMO_CAP
     assert _tree_size(rec.root) == rec.nodes == iv._MEMO_CAP
+
+
+def _sideless(moves):
+    """A move log with the side of each type-A collapse dropped."""
+    return tuple(m[:2] + m[3:] if m[0] == "ta" else m for m in moves)
+
+
+def test_tree_leaves_are_the_distinct_move_sequences(monkeypatch):
+    # a leaf stands for one sequence of test outcomes, and so for one move
+    # sequence up to the sides of the collapses; generated outputs that
+    # differ only in which strand of a removed bigon or walk is on top
+    # share it
+    shared = 0
+    for s in _runner_shadows() + _braid_shadows(((3, 24), (4, 25)), 61):
+        monkeypatch.setattr(iv, "_record", None)
+        rec = iv._shadow_record(s)
+        runs = set()
+        diagrams = gn.generate_unknots(s).diagrams
+        for d in diagrams:
+            iv.classify(d)
+            bits = tuple(d.bits[v] for v in rec.keep)
+            runs.add(_sideless(iv.simplify(iv.Diagram(rec.quotient, bits))[1]))
+        assert iv._record is rec
+        assert _tree_size(rec.root) == rec.nodes == len(runs), s
+        shared += len(diagrams) - len(runs)
+    assert shared > 5000
+
+
+def test_a_mirror_reads_its_bits_from_the_shared_leaf(monkeypatch):
+    # mirroring flips both sides of every test, so the mirror of a
+    # classified diagram walks to its leaf and adds none, and the leaf
+    # completes the residue with the mirror's bits, not the diagram's
+    swapped = {"trefoil_left": "trefoil_right", "trefoil_right": "trefoil_left"}
+    checked = 0
+    for s in _runner_shadows():
+        tre = gn.trefoil_diagram(s)
+        if tre is None:
+            continue
+        monkeypatch.setattr(iv, "_record", None)
+        cls = iv.classify(tre)
+        nodes = iv._record.nodes
+        assert nodes > 0
+        assert iv.classify(iv.mirror(tre)).kind == swapped[cls.kind]
+        assert iv._record.nodes == nodes
+        checked += 1
+    assert checked > 20
 
 
 # ---------------------------------------------------------------------------
@@ -956,40 +1009,48 @@ def test_runner_stops_only_on_unknown_bits_and_forks_exactly():
     assert stops > 200
 
 
-def _pauses(state, full):
-    """The ``(vertex, bit)`` of each pause of a paused run fed ``full``."""
-    out = []
-    u = state.run()
-    while u is not None:
-        out.append((u, full[u]))
-        state.bits[u] = full[u]
-        u = state.run()
-    return out
+def _logged(diagram, shapes=None):
+    """A logging run of the diagram, run out."""
+    state = iv._Mut(diagram, shapes, logged=True)
+    assert state.run() is None
+    return state
 
 
-def test_reading_on_demand_equals_pausing():
-    # a run that takes each unknown bit from the diagram when a test meets
-    # it ends as simplify does, and its read log is the pause sequence of a
-    # paused run fed the same bits; half the runs start with every bit
-    # unknown, as classify's tree does, half with some bits set
+def test_resumed_runs_log_what_unpaused_runs_log():
+    # a logging run paused before its i-th logged test, for each i, and
+    # then resumed logs what a run that never paused logs, and both end as
+    # simplify.  Half the runs resume with the mirror's bits: mirroring
+    # flips both sides of every test, so each test keeps its outcome and
+    # the run goes on as the mirror's own run would
     rng = random.Random(71)
-    reads = 0
+    tests = 0
     shadows = _runner_shadows() + _braid_shadows(((3, 24), (4, 21), (4, 25)), 61)
     for s in shadows:
-        for trial in range(6):
-            full = tuple(rng.randrange(2) for _ in range(s.n))
-            known = [None if trial < 3 or rng.random() < 0.6 else b for b in full]
-            state = iv._Mut(iv.Diagram(s, tuple(known)), {} if trial % 2 else None)
-            pauses = _pauses(state.fork(0, known[0]), full)
-            assert state.run(full) is None
-            assert state.log == pauses, (s, full, known)
-            reads += len(pauses)
-            reduced, order = state.to_diagram()
-            bits = tuple(full[order[i]] if b is None else b
-                         for i, b in enumerate(reduced.bits))
-            got = (iv.Diagram(reduced.shadow, bits), state.moves)
-            assert got == iv.simplify(iv.Diagram(s, full)), (s, full, known)
-    assert reads > 1000
+        for trial in range(4):
+            d = iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
+            shapes = {} if trial % 2 else None
+            whole = _logged(d, shapes)
+            assert (whole.to_diagram()[0], whole.moves) == iv.simplify(d)
+            other = iv.mirror(d) if trial >= 2 else d
+            reduced, moves = iv.simplify(other)
+            # the collapses logged before the pause keep the sides of d
+            want = reduced, _sideless(moves) if other is not d else moves
+            for i in range(len(whole.log)):
+                state = iv._Mut(d, shapes, logged=True)
+                assert state.run(i) == -1
+                assert state.log == whole.log[:i]
+                # the test it paused before changed nothing
+                before = _run_state(state)
+                assert state.run(i) == -1
+                assert _run_state(state) == before
+                resumed = state.with_bits(other.bits)
+                assert resumed.run() is None
+                assert state.log + resumed.log == whole.log, (s, d, i)
+                moves = resumed.moves
+                got = resumed.to_diagram()[0], _sideless(moves) if other is not d else moves
+                assert got == want
+            tests += len(whole.log)
+    assert tests > 1000
 
 
 def _braid_shadows(specs, seed):
@@ -1001,10 +1062,11 @@ def _braid_shadows(specs, seed):
 
 
 def test_scan_resumes_at_its_stop(monkeypatch):
-    # a run paused in the type-A scan tests no vertex below the stop once
-    # the bit is set, until its next collapse, and still ends as simplify;
-    # each run starts with every bit unknown and reads a generated output's
-    # bits as it asks for them, as classify's tree does
+    # a logging run paused before a test of the type-A scan tests no vertex
+    # below the stop once resumed, until its next collapse, and still ends
+    # as simplify; each run is re-run from the start with a generated
+    # output's bits and paused before each of its logged tests in turn, as
+    # classify's tree re-runs an edge it splits
     tested = []
     real = iv._try_type_a
 
@@ -1020,21 +1082,23 @@ def test_scan_resumes_at_its_stop(monkeypatch):
     shadows = _runner_shadows() + _braid_shadows(((3, 24), (4, 21), (4, 25)), 61)
     for s in shadows:
         for d in gn.generate_unknots(s).diagrams[:16]:
-            state = iv._Mut(iv.Diagram(s, (None,) * s.n))
-            u = state.run()
-            while u is not None:
-                if not state.work:
-                    stop = tested[-1]
-                    assert state.scan == stop
-                    tested.clear()
-                    got, _ = _finish(state.fork(u, d.bits[u]), d.bits)
-                    if "hit" in tested:
-                        del tested[tested.index("hit"):]
-                    assert tested[0] == stop and tested == sorted(tested), s
-                    assert got == iv.simplify(d), s
-                    stops.append(stop)
-                state.bits[u] = d.bits[u]
-                u = state.run()
+            logged = len(_logged(d).log)
+            for i in range(logged):
+                state = iv._Mut(d, logged=True)
+                assert state.run(i) == -1
+                if state.work:
+                    continue            # paused before a bigon test
+                stop = tested[-1]
+                assert state.scan == stop
+                tested.clear()
+                resumed = state.with_bits(d.bits)
+                assert resumed.run() is None
+                if "hit" in tested:
+                    del tested[tested.index("hit"):]
+                assert tested[0] == stop and tested == sorted(tested), s
+                assert (resumed.to_diagram()[0], resumed.moves) == iv.simplify(d), s
+                assert len(state.log) + len(resumed.log) == logged
+                stops.append(stop)
     assert len(stops) > 100 and sum(v > 0 for v in stops) > 50
 
 
