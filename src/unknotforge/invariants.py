@@ -7,11 +7,11 @@ that adds crossings one at a time and keeps one table per matching of the
 open strand ends, not by enumerating all 2^n smoothings.  The matchings and
 their transitions depend on the shadow alone, so the scan is compiled once
 per shadow into a plan, and a diagram's bits only choose which smoothing of
-each crossing is weighted A; plans and writhe signs are cached on the twin
-table, and the classes of residue diagrams on the diagram.  The
-writhe-normalized form is invariant under all Reidemeister moves and is
-used, together with a greedy move-based simplifier, to classify diagrams at
-desk scale.
+each crossing is weighted A; plans, writhe signs and the simplifier's
+type-A walks are cached on the twin table, and the classes of residue
+diagrams on the diagram.  The writhe-normalized form is invariant under all
+Reidemeister moves and is used, together with a greedy move-based
+simplifier, to classify diagrams at desk scale.
 """
 
 from __future__ import annotations
@@ -318,28 +318,26 @@ class _Mut:
 
     The moves read bits only to ask whether a strand passes on one side at
     each dart of a group: whether ``(d & 1) == bits[d >> 2]`` is alike over
-    the group.  A move test asks it of its groups in order and applies the
-    move of the first group that is one-sided.  A state runs in one of two
-    modes.  With ``log`` None (the census, ``simplify``) ``bits[v]`` may be
-    None (unknown), and a test that meets an unknown bit raises ``_Pause``
-    before it changes anything.  With ``log`` a list (classify's tree),
-    every bit is set, and each test whose outcome depends on the bits is
-    logged as ``(groups, k)``: its dart groups and the index of the first
-    one-sided group, -1 if none.  The groups and the state a test leaves
-    depend on the state before it and on ``k`` only, never on the bits.
+    the group.  Every move test is one call of ``test``, which asks it of
+    the groups in order and gives the index ``k`` of the first one-sided
+    group, -1 if none; the move of group ``k`` is applied.  The groups and
+    the state a test leaves depend on the state before it and on ``k``
+    only, never on the bits.  ``bits[v]`` may be None (unknown, in the
+    census), and a test whose outcome hangs on an unknown bit raises
+    ``_Pause`` before it changes anything.  A logging run (classify's tree)
+    logs each test whose outcome depends on the bits as ``(groups, k)``.
 
     Beside the diagram the state holds the run's position (the heap of
     queued vertices, ``work`` and ``queued``, and ``scan``, the vertex where
     the type-A scan resumes), the move log, and ``stop``, the length of
-    ``log`` at which a logging run pauses.  ``shapes``, when not None,
-    memoizes the bit-free half of the type-A test on the twin table; ``row``
-    is the entry of the current twin.
+    ``log`` at which a logging run pauses.  ``row`` is the current twin
+    table's row of type-A walks (``_type_a_row``), None until read.
     """
 
     __slots__ = ("twin", "bits", "free_loops", "work", "queued", "scan",
-                 "moves", "shapes", "row", "log", "stop")
+                 "moves", "row", "log", "stop")
 
-    def __init__(self, diagram: Diagram, shapes=None, logged=False):
+    def __init__(self, diagram: Diagram, logged=False):
         n = diagram.n
         self.twin = list(diagram.shadow.twin)
         self.bits = list(diagram.bits)
@@ -348,7 +346,6 @@ class _Mut:
         self.queued = [True] * n
         self.scan = 0
         self.moves = []
-        self.shapes = shapes
         self.row = None
         self.log = [] if logged else None
         self.stop = None
@@ -370,7 +367,6 @@ class _Mut:
         new.queued = self.queued[:]
         new.scan = self.scan
         new.moves = self.moves[:]
-        new.shapes = self.shapes
         new.row = self.row
         new.log = None if self.log is None else []
         new.stop = None
@@ -394,8 +390,8 @@ class _Mut:
         the twin table renumbered as ``planemap.renumber`` does, the bits of
         the live vertices, the ranks of the live vertices in ``work``,
         ``scan`` as the number of live vertices below it, and
-        ``free_loops``.  ``shapes`` and ``row`` cache functions of the twin
-        table; the census never reads ``moves`` and logs nothing.
+        ``free_loops``.  ``row`` caches a function of the twin table; the
+        census never reads ``moves`` and logs nothing.
         """
         twin, bits, work = self.twin, self.bits, self.work
         n = len(self.queued)
@@ -412,17 +408,19 @@ class _Mut:
                 bisect_left(live, self.scan), self.free_loops), live
 
     def test(self, groups):
-        """The logged outcome of a move test over ``groups``: the index of
-        the first one-sided group, -1 if none.  A test whose first group has
-        one dart has outcome 0 whatever the bits, and is not logged.  A run
-        whose log holds ``stop`` entries pauses here instead."""
+        """The outcome of a move test over ``groups``: the index of the first
+        one-sided group, -1 if none (``_first_one_sided``, which pauses on
+        an unknown bit it needs).  A test whose first group has one dart has
+        outcome 0 whatever the bits, and is not logged.  A logging run logs
+        the test, or pauses before it once its log holds ``stop`` entries."""
         if len(groups[0]) == 1:
             return 0
         log = self.log
-        if len(log) == self.stop:
+        if log is not None and len(log) == self.stop:
             raise _Pause(-1)
         k = _first_one_sided(groups, self.bits)
-        log.append((groups, k))
+        if log is not None:
+            log.append((groups, k))
         return k
 
     def excise(self, through, deleted=()):
@@ -432,18 +430,10 @@ class _Mut:
         self.free_loops += len(loops)
 
     def type_a_walks(self, v):
-        """``_type_a_walks`` of the current twin table, from ``shapes``."""
-        if self.shapes is None:
-            return _type_a_walks(self.twin, v)
+        """``_type_a_walks`` of the current twin table, from its row."""
         row = self.row
         if row is None:
-            key = tuple(self.twin)
-            row = self.shapes.get(key)
-            if row is None:
-                row = [None] * len(self.queued)
-                if len(self.shapes) < _MEMO_CAP:
-                    self.shapes[key] = row
-            self.row = row
+            row = self.row = _type_a_row(tuple(self.twin))
         walks = row[v]
         if walks is None:
             walks = row[v] = _type_a_walks(self.twin, v)
@@ -509,14 +499,24 @@ class _Mut:
 
 def _first_one_sided(groups, bits):
     """The index of the first dart group whose strand passes on one side
-    at every dart of it, -1 if none."""
+    at every dart of it, -1 if none.  A group whose known darts lie on both
+    sides is passed over, whatever its unknown bits; a group that could
+    still be one-sided and holds an unknown bit raises ``_Pause`` on the
+    vertex of its first unknown dart."""
     for k, group in enumerate(groups):
-        d = group[0]
-        side = (d & 1) ^ bits[d >> 2]
+        side = unknown = None
         for d in group:
-            if (d & 1) ^ bits[d >> 2] != side:
+            b = bits[d >> 2]
+            if b is None:
+                if unknown is None:
+                    unknown = d >> 2
+            elif side is None:
+                side = (d & 1) ^ b
+            elif (d & 1) ^ b != side:
                 break
         else:
+            if unknown is not None:
+                raise _Pause(unknown)
             return k
     return -1
 
@@ -551,43 +551,26 @@ def _try_r1(state: _Mut, v):
 
 def _try_r2(state: _Mut, v):
     """Remove the first bigon at ``v``, in slot order, whose strand passes
-    over (or under) both of its crossings.  A logging state tests all the
-    bigons at ``v`` as one logged test, a group ``(d, t)`` each.  The
-    neighbours returned are the vertices at the four outer ends, ``v`` and
-    ``w`` among them when an end is a loop edge; both are removed."""
-    twin, bits = state.twin, state.bits
+    over (or under) both of its crossings: one test over the bigons at
+    ``v``, a group ``(d, t)`` each.  The neighbours returned are the
+    vertices at the four outer ends, ``v`` and ``w`` among them when an end
+    is a loop edge; both are removed."""
+    twin = state.twin
     base = 4 * v
     ts = twin[base:base + 4]
-    groups = None if state.log is None else []
-    hit = None
+    groups = []
     for s in range(4):
         t = ts[s]
-        w = t >> 2
         # d and the dart before it at v bound a bigon with t and
         # x = rotate(t) at w when the dart before it is paired to x
-        if w == v or ts[s - 1] != (t & ~3) | ((t + 1) & 3):
-            continue
-        d = base + s
-        if groups is not None:
-            groups.append((d, t))
-            continue
-        bv = bits[v]
-        if bv is None:
-            raise _Pause(v)
-        bw = bits[w]
-        if bw is None:
-            raise _Pause(w)
-        if ((d & 1) == bv) == ((t & 1) == bw):
-            hit = d
-            break
-    if groups:
-        k = state.test(groups)
-        if k >= 0:
-            hit = groups[k][0]
-    if hit is None:
+        if t >> 2 != v and ts[s - 1] == (t & ~3) | ((t + 1) & 3):
+            groups.append((base + s, t))
+    if not groups:
         return None
-    d = hit
-    t = twin[d]
+    k = state.test(groups)
+    if k < 0:
+        return None
+    d, t = groups[k]
     w = t >> 2
     x = (t & ~3) | ((t + 1) & 3)
     d2 = (d & ~3) | ((d - 1) & 3)
@@ -603,6 +586,13 @@ def _try_r2(state: _Mut, v):
     else:
         state.excise(_straight_through_mut((v, w)))
     return ("r2", v, w), neighbours
+
+
+@lru_cache(maxsize=_MEMO_CAP)
+def _type_a_row(twin: tuple) -> list:
+    """The twin table's row of ``_type_a_walks``, one entry a vertex, None
+    until ``_Mut.type_a_walks`` fills it."""
+    return [None] * (len(twin) // 4)
 
 
 def _type_a_walks(twin, v):
@@ -624,46 +614,19 @@ def _type_a_walks(twin, v):
 
 def _try_type_a(state: _Mut, v):
     """Collapse the first walk from ``v`` whose strand passes over (or
-    under) every crossing inside it.  A logging state tests the walks as
-    one logged test, with the darts after each walk's first as its group."""
+    under) every crossing inside it: one test over the walks, with the
+    darts after each walk's first as its group."""
     walks = state.type_a_walks(v)
     if not walks:
         return None
-    if state.log is None:
-        for walk, interior in walks:
-            over = _one_sided(state.bits, walk)
-            if over is not None:
-                break
-        else:
-            return None
-    else:
-        k = state.test([walk[1:] for walk, _ in walks])
-        if k < 0:
-            return None
-        walk, interior = walks[k]
-        over = (walk[1] & 1) == state.bits[walk[1] >> 2]
+    k = state.test([walk[1:] for walk, _ in walks])
+    if k < 0:
+        return None
+    walk, interior = walks[k]
+    over = (walk[1] & 1) == state.bits[walk[1] >> 2]
     side = pm.OVER if over else pm.UNDER
     state.excise(pm.cycle_through(state.twin, walk), walk)
     return ("ta", v, side, interior), set()
-
-
-def _one_sided(bits, walk):
-    """Whether the walk's strand passes over every crossing inside it (True)
-    or under every one (False); None when it does neither.  A walk with a
-    known crossing of each kind is passed over before any unknown bit on it
-    is read; otherwise the test pauses on the last unknown bit."""
-    over = unknown = None
-    for d in walk[1:]:
-        b = bits[d >> 2]
-        if b is None:
-            unknown = d >> 2
-        elif over is None:
-            over = (d & 1) == b
-        elif over != ((d & 1) == b):
-            return None
-    if unknown is not None:
-        raise _Pause(unknown)
-    return over
 
 
 def simplify(diagram: Diagram, riii_depth: int = 0):
@@ -697,7 +660,8 @@ def _slide_loop(reduced: Diagram, moves: list, riii_depth: int):
 
 
 def riii_moves(diagram: Diagram):
-    """All triangle slides available on the diagram.
+    """Yield the triangle slides available on the diagram, one at a time,
+    so that a search can stop at the first one it takes.
 
     A slide needs a triangle face with three distinct corners where the
     strand of one side passes over (or under) the other two strands at both
@@ -705,7 +669,6 @@ def riii_moves(diagram: Diagram):
     crossing.  Crossing chirality and all over/under bits are preserved.
     """
     shadow = diagram.shadow
-    out = []
     for f in pm.faces(shadow):
         if len(f) != 3:
             continue
@@ -715,8 +678,7 @@ def riii_moves(diagram: Diagram):
                 continue
             cand = _riii_apply(diagram, f[i], f[(i + 1) % 3], f[(i + 2) % 3])
             if cand is not None:
-                out.append(cand)
-    return out
+                yield cand
 
 
 def _riii_apply(diagram: Diagram, dx, dy, dz):
@@ -918,12 +880,11 @@ class _ShadowRecord:
     ``_MEMO_CAP`` leaves.
 
     The record holds only what depends on its shadow's bits.  The pure
-    results on the residues (bracket plans, writhe signs, polynomial
-    classes) are cached where they are computed, and outlive the record.
+    results (type-A walks, bracket plans, writhe signs, polynomial classes)
+    are cached where they are computed, and outlive the record.
     """
 
-    __slots__ = ("shadow", "quotient", "keep", "verdicts", "shapes", "root",
-                 "nodes")
+    __slots__ = ("shadow", "quotient", "keep", "verdicts", "root", "nodes")
 
     def __init__(self, shadow: pm.Shadow):
         state = _Mut(Diagram(shadow, (0,) * shadow.n))
@@ -938,7 +899,6 @@ class _ShadowRecord:
         self.shadow = shadow
         self.quotient = reduced.shadow
         self.verdicts = {}
-        self.shapes = {}
         self.root = None
         self.nodes = 0
 
@@ -988,7 +948,7 @@ class _ShadowRecord:
 
     def _start(self, bits: tuple) -> _Mut:
         """The logging run of the quotient diagram with these bits."""
-        return _Mut(Diagram(self.quotient, bits), self.shapes, logged=True)
+        return _Mut(Diagram(self.quotient, bits), logged=True)
 
     def _leaf(self, state: _Mut, skip: int) -> list:
         """The leaf of a run that goes on from ``state`` to its end; the
@@ -1153,7 +1113,7 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT):
         raise LimitExceeded(f"census needs n <= {limit}, got {n}")
     rec = _shadow_record(shadow)
     q = len(rec.keep)
-    state = _Mut(Diagram(rec.quotient, (None,) * q), shapes={})
+    state = _Mut(Diagram(rec.quotient, (None,) * q))
     counts, failure = _census_walk(state, limit, {})
     if failure is not None:
         raise failure[1]

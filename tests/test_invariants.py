@@ -227,6 +227,16 @@ def test_pure_results_outlive_the_shadow_record(monkeypatch):
         return real(diagram, limit)
 
     monkeypatch.setattr(iv, "normalized_poly", counted)
+    # nor is the type-A test's walk at a vertex of a twin table taken twice
+    _counting(monkeypatch, "_type_a_row")
+    walks = []
+    real_walks = iv._type_a_walks
+
+    def counted_walks(twin, v):
+        walks.append((tuple(twin), v))
+        return real_walks(twin, v)
+
+    monkeypatch.setattr(iv, "_type_a_walks", counted_walks)
     monkeypatch.setattr(iv, "_record", None)
     a, b = pm.cn(7), pm.random_shadow(8, 5)
     plans.clear()
@@ -237,6 +247,7 @@ def test_pure_results_outlive_the_shadow_record(monkeypatch):
     assert verdicts[0] == verdicts[2]
     assert len(set(plans)) == len(plans) > 1
     assert len(set(polys)) == len(polys) > 1
+    assert len(set(walks)) == len(walks) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +543,7 @@ def test_riii_slides_match_the_whole_shadow_reference():
         nxt = {}
         for s in level:
             d = iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
-            assert iv.riii_moves(d) == _reference_riii_moves(d), s
+            assert list(iv.riii_moves(d)) == _reference_riii_moves(d), s
             for f in pm.faces(s):
                 if len(f) != 3:
                     continue
@@ -579,7 +590,7 @@ def test_riii_slide_preserves_polynomial():
             assert slid.shadow != d.shadow
     assert hits > 0
     alt = iv.alternating_diagram(pm.standard_trefoil())
-    assert iv.riii_moves(alt) == []
+    assert list(iv.riii_moves(alt)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -980,15 +991,69 @@ def _finish(state, full):
     return (state.to_diagram()[0], state.moves), tuple(bits)
 
 
+def _outcomes(groups, bits):
+    """The outcome of a move test over ``groups`` for every setting of the
+    unknown bits, by brute force."""
+    unknown = [v for v, b in enumerate(bits) if b is None]
+    out = set()
+    for fill in itertools.product((0, 1), repeat=len(unknown)):
+        full = list(bits)
+        for v, b in zip(unknown, fill):
+            full[v] = b
+        sides = [{(d & 1) ^ full[d >> 2] for d in group} for group in groups]
+        out.add(next((k for k, side in enumerate(sides) if len(side) == 1), -1))
+    return out
+
+
+def test_first_one_sided_pauses_only_on_a_group_that_could_be_one_sided():
+    # darts 0, 4 and 8 pass on sides 0, 1 and unknown: the first group's
+    # known darts disagree, so it is passed over though it holds an unknown
+    # bit, and the test pauses in the second group
+    groups = [(0, 4, 8), (12, 17)]
+    bits = [0, 1, None, None, None]
+    with pytest.raises(iv._Pause) as e:
+        iv._first_one_sided(groups, bits)
+    assert e.value.args[0] in (3, 4)
+    bits[3] = 0
+    with pytest.raises(iv._Pause) as e:
+        iv._first_one_sided(groups, bits)
+    assert e.value.args[0] == 4
+    assert iv._first_one_sided(groups, bits[:4] + [0]) == -1
+    assert iv._first_one_sided(groups, bits[:4] + [1]) == 1
+    # random groups of distinct vertices: an outcome returned is that of
+    # every setting of the unknown bits; a pause names an unknown bit of a
+    # group that is one-sided for some setting, and no group before that
+    # one is one-sided for any
+    rng = random.Random(29)
+    pauses = 0
+    for _ in range(3000):
+        groups = [tuple(4 * v + rng.randrange(4)
+                        for v in rng.sample(range(6), rng.randint(2, 4)))
+                  for _ in range(rng.randint(1, 3))]
+        bits = [None if rng.random() < 0.3 else rng.randrange(2) for _ in range(6)]
+        outcomes = _outcomes(groups, bits)
+        try:
+            k = iv._first_one_sided(groups, bits)
+        except iv._Pause as e:
+            pauses += 1
+            u = e.args[0]
+            assert bits[u] is None
+            assert any(j in outcomes and all(k < 0 or k >= j for k in outcomes)
+                       for j, group in enumerate(groups)
+                       if u in {d >> 2 for d in group}), (groups, bits)
+        else:
+            assert outcomes == {k}, (groups, bits)
+    assert pauses > 500
+
+
 def test_runner_stops_only_on_unknown_bits_and_forks_exactly():
     rng = random.Random(47)
     stops = 0
     for s in _runner_shadows():
-        for trial in range(6):
+        for _ in range(6):
             full = [rng.randrange(2) for _ in range(s.n)]
             bits = [None if rng.random() < 0.6 else b for b in full]
-            shapes = {} if trial % 2 else None
-            state = iv._Mut(iv.Diagram(s, tuple(bits)), shapes)
+            state = iv._Mut(iv.Diagram(s, tuple(bits)))
             while True:
                 u = state.run()
                 if u is None:
@@ -1009,9 +1074,9 @@ def test_runner_stops_only_on_unknown_bits_and_forks_exactly():
     assert stops > 200
 
 
-def _logged(diagram, shapes=None):
+def _logged(diagram):
     """A logging run of the diagram, run out."""
-    state = iv._Mut(diagram, shapes, logged=True)
+    state = iv._Mut(diagram, logged=True)
     assert state.run() is None
     return state
 
@@ -1028,15 +1093,14 @@ def test_resumed_runs_log_what_unpaused_runs_log():
     for s in shadows:
         for trial in range(4):
             d = iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
-            shapes = {} if trial % 2 else None
-            whole = _logged(d, shapes)
+            whole = _logged(d)
             assert (whole.to_diagram()[0], whole.moves) == iv.simplify(d)
             other = iv.mirror(d) if trial >= 2 else d
             reduced, moves = iv.simplify(other)
             # the collapses logged before the pause keep the sides of d
             want = reduced, _sideless(moves) if other is not d else moves
             for i in range(len(whole.log)):
-                state = iv._Mut(d, shapes, logged=True)
+                state = iv._Mut(d, logged=True)
                 assert state.run(i) == -1
                 assert state.log == whole.log[:i]
                 # the test it paused before changed nothing
@@ -1205,7 +1269,7 @@ def test_census_counts_do_not_depend_on_the_memo_cap(monkeypatch, runs):
 def _paused_states(shadow):
     """A copy of every paused run of the tree walk over the shadow."""
     out = []
-    stack = [iv._Mut(iv.Diagram(shadow, (None,) * shadow.n), shapes={})]
+    stack = [iv._Mut(iv.Diagram(shadow, (None,) * shadow.n))]
     while stack:
         state = stack.pop()
         u = state.run()
@@ -1316,7 +1380,7 @@ def test_census_walk_returns_the_least_failure_mask(monkeypatch):
         got = []
         for cap in (0, iv._CENSUS_CAP):
             monkeypatch.setattr(iv, "_CENSUS_CAP", cap)
-            state = iv._Mut(iv.Diagram(rec.quotient, (None,) * q), shapes={})
+            state = iv._Mut(iv.Diagram(rec.quotient, (None,) * q))
             _, (mask, error) = iv._census_walk(state, iv.DEFAULT_LIMIT, {})
             got.append((mask, str(error)))
         assert got[0] == got[1], s
