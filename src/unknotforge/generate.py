@@ -414,14 +414,12 @@ def generate_unknots(shadow: pm.Shadow, method: str = "auto") -> GenerationResul
     suffices; otherwise two primary cycles share at least 2*cbrt(n)
     vertices, and the digon route through the reduced subshadow applies.
     ``auto`` takes that route; the bound is promised on it only, and a
-    shortfall there raises InternalInvariantViolation.
+    shortfall there raises InternalInvariantViolation.  A shadow that is no
+    knot shadow raises NotAKnotShadow from the cycle decomposition.
     """
-    report = pm.component_report(shadow)
-    if not report.is_knot_shadow:
-        raise NotAKnotShadow("generation is defined for knot shadows")
+    dec = dc.greedy_cycle_decomposition(shadow)
     n = shadow.n
     bound = 1 << ceil_cbrt(n)
-    dec = dc.greedy_cycle_decomposition(shadow)
     theorem = "digons" if dec.size ** 3 < n else "cycles"
     if method == "auto":
         method = theorem

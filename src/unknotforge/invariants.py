@@ -25,8 +25,8 @@ from . import planemap as pm
 from .errors import (
     InternalInvariantViolation,
     LimitExceeded,
+    NotAKnotShadow,
     PreconditionViolated,
-    ShadowError,
 )
 
 DEFAULT_LIMIT = 20
@@ -374,10 +374,9 @@ class _Mut:
 
     def key(self):
         """Everything the rest of the run reads, up to an order-keeping
-        relabelling of the live vertices, and the live vertices in order.
-        Two states with equal keys run to the same end on corresponding
-        settings of their unknown bits, the i-th live vertex of one standing
-        for the i-th of the other.
+        relabelling of the live vertices.  Two states with equal keys run to
+        the same end on corresponding settings of their unknown bits, the
+        i-th live vertex of one standing for the i-th of the other.
 
         A removed vertex's bit is never read again: ``_try_r1`` reads no
         bit, ``_try_r2`` and ``_try_type_a`` read bits of live vertices
@@ -398,14 +397,14 @@ class _Mut:
         live = [v for v in range(n) if twin[4 * v] >= 0]
         if len(live) == n:      # nothing removed: each vertex is its rank
             return (tuple(twin), tuple(bits), tuple(sorted(work)), self.scan,
-                    self.free_loops), live
+                    self.free_loops)
         rank = [0] * n
         for i, v in enumerate(live):
             rank[v] = i
         return (tuple([rank[t >> 2] << 2 | t & 3 for t in twin if t >= 0]),
                 tuple([bits[v] for v in live]),
                 tuple(sorted([rank[v] for v in work if twin[4 * v] >= 0])),
-                bisect_left(live, self.scan), self.free_loops), live
+                bisect_left(live, self.scan), self.free_loops)
 
     def test(self, groups):
         """The outcome of a move test over ``groups``: the index of the first
@@ -844,7 +843,8 @@ _CENSUS_CAP = 1 << 15
 
 
 class _ShadowRecord:
-    """Classification state of one shadow.
+    """Classification state of one knot shadow; any other shadow raises
+    ``NotAKnotShadow`` here, before a diagram of it is simplified.
 
     R1 curl removal never reads a bit, so the shadow's curl quotient (its R1
     closure, and ``keep``, the parent vertex of each quotient vertex) is
@@ -887,6 +887,8 @@ class _ShadowRecord:
     __slots__ = ("shadow", "quotient", "keep", "verdicts", "root", "nodes")
 
     def __init__(self, shadow: pm.Shadow):
+        if not pm.component_report(shadow).is_knot_shadow:
+            raise NotAKnotShadow("classification is defined for knot shadows")
         state = _Mut(Diagram(shadow, (0,) * shadow.n))
         work = set(range(shadow.n))
         while work:
@@ -996,9 +998,9 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     Simplification to zero crossings is a sound unknot certificate; a
     non-trivial normalized polynomial is a sound knotted certificate.  A
     trivial polynomial without a simplifier certificate is reported as
-    unknot flagged presumed.  A diagram that reduces to no crossings but
-    not to exactly one loop (the empty diagram, a split unlink) is no knot
-    diagram: PreconditionViolated.
+    unknot flagged presumed.  A diagram whose shadow is no knot shadow (a
+    link, a split unlink, the empty diagram) raises ``NotAKnotShadow`` when
+    its shadow record is built.
 
     Both certificates are taken on the shadow's curl quotient, with the
     bits restricted to its vertices; removing a curl keeps the knot.  The
@@ -1018,7 +1020,7 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
 
 
 def _census_walk(state, limit, memo):
-    """Census counts and least failure of the assignments below ``state``.
+    """Census counts of the assignments below ``state``.
 
     The counts run over the assignments of the bits that are unknown and
     live when the call starts; an unknown bit whose vertex the run removes
@@ -1031,69 +1033,36 @@ def _census_walk(state, limit, memo):
     walk: the tree of partial assignments becomes a DAG, and a paused state
     of a twist region depends on the bits read along its chain, not on the
     labels of the crossings the run has removed.
-
-    The failure is None or ``(bits set below this state, error)`` for the
-    least assignment whose diagram is no knot, as enumeration in bit-vector
-    order would meet it first.  The memo holds its bits by rank among the
-    unknown live bits of the pause, and a hit maps them back to this
-    state's vertices; the relabelling keeps the order, so the least
-    assignment of one state is that of every state with its key.
     """
     twin, bits = state.twin, state.bits
     unknown = sum(1 for v, b in enumerate(bits) if b is None and twin[4 * v] >= 0)
     u = state.run()
     if u is None:
-        reduced, order = state.to_diagram()
+        reduced, _ = state.to_diagram()
         free = [i for i, b in enumerate(reduced.bits) if b is None]
         counts = {}
-        failure = None
         leaf_bits = list(reduced.bits)
         for k in range(1 << len(free)):
             for j, i in enumerate(free):
                 leaf_bits[i] = (k >> j) & 1
-            try:
-                cls = residue_class(Diagram(reduced.shadow, tuple(leaf_bits)), limit)
-            except ShadowError as e:
-                if failure is None:     # ``order`` rises, so k does too
-                    failure = (sum(1 << order[i] for i in free if leaf_bits[i]), e)
-                continue
+            cls = residue_class(Diagram(reduced.shadow, tuple(leaf_bits)), limit)
             counts[cls] = counts.get(cls, 0) + 1
         left = len(free)
     else:
-        key, live = state.key()
-        hit = memo.get(key)
-        if hit is None:
+        key = state.key()
+        counts = memo.get(key)
+        if counts is None:
             one = state.fork(u, 1)
             bits[u] = 0
-            counts, failure = _census_walk(state, limit, memo)
-            counts = dict(counts)
-            more, worse = _census_walk(one, limit, memo)
-            for cls, k in more.items():
+            counts = dict(_census_walk(state, limit, memo))
+            for cls, k in _census_walk(one, limit, memo).items():
                 counts[cls] = counts.get(cls, 0) + k
-            if worse is not None:
-                worse = (worse[0] + (1 << u), worse[1])
-                if failure is None or worse[0] < failure[0]:
-                    failure = worse
             if len(memo) < _CENSUS_CAP:
-                memo[key] = counts, failure and _by_rank(failure, key, live, False)
-        else:
-            counts, failure = hit
-            if failure is not None:
-                failure = _by_rank(failure, key, live, True)
+                memo[key] = counts
         left = key[1].count(None)      # the unknown live bits at the pause
     if unknown > left:
         counts = {cls: k << (unknown - left) for cls, k in counts.items()}
-    return counts, failure
-
-
-def _by_rank(failure, key, live, back):
-    """A census failure with its bits moved from the unknown live vertices
-    of the paused state to their ranks among them; with ``back``, from the
-    ranks to the vertices."""
-    free = [v for v, b in zip(live, key[1]) if b is None]
-    src, dst = (range(len(free)), free) if back else (free, range(len(free)))
-    mask, error = failure
-    return sum(1 << d for s, d in zip(src, dst) if mask >> s & 1), error
+    return counts
 
 
 def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT):
@@ -1105,8 +1074,10 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT):
     it at curls only, and they are classified by one walk of the greedy
     simplifier over a tree of partial assignments whose branches that pause
     in states equal up to an order-keeping relabelling are walked once
-    (``_census_walk``).  A diagram that is no knot raises for the least
-    assignment that shows it.
+    (``_census_walk``).  A shadow that is no knot shadow raises
+    ``NotAKnotShadow`` from its record, before the walk.  On a knot shadow
+    no assignment fails: the greedy moves keep the number of curves, so a
+    residue without crossings is one loop.
     """
     n = shadow.n
     if n > limit:
@@ -1114,9 +1085,7 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT):
     rec = _shadow_record(shadow)
     q = len(rec.keep)
     state = _Mut(Diagram(rec.quotient, (None,) * q))
-    counts, failure = _census_walk(state, limit, {})
-    if failure is not None:
-        raise failure[1]
+    counts = _census_walk(state, limit, {})
     return {cls: k << (n - q) for cls, k in counts.items()}
 
 

@@ -59,6 +59,13 @@ def test_validate_rejects_link(run, tmp_path):
     code, out, _ = run("validate", str(p))
     assert code == 1
     assert "kind: link" in out
+    # every verb that needs a knot shadow fails alike, whatever the limit
+    for argv in (("census", str(p)), ("classify", str(p), "--bits", "00"),
+                 ("--oracle-limit", "0", "classify", str(p), "--bits", "01"),
+                 ("generate", str(p)), ("trefoil", str(p))):
+        code, _, err = run(*argv)
+        assert code == 1, argv
+        assert err.startswith("error: NotAKnotShadow:"), (argv, err)
 
 
 def test_census_text_and_json(run, fig8_file):
