@@ -14,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from operator import itemgetter
 
 from . import decomp as dc
 from . import digon as dg
@@ -79,17 +78,6 @@ def all_descending_diagrams(shadow: pm.Shadow):
 # Certificate moves
 # ---------------------------------------------------------------------------
 
-def _picker(indices):
-    """``seq`` -> the tuple of ``seq[i]`` over ``indices``.  ``itemgetter`` of
-    one index returns the item, not a tuple, and takes no zero indices, so
-    those cases slice the sequence."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:
-        return itemgetter(slice(indices[0], indices[0] + 1))
-    return itemgetter(slice(0, 0))
-
-
 @dataclass(frozen=True)
 class Restrict:
     """One certificate move: check required bits, keep the survivors' bits.
@@ -121,11 +109,11 @@ class Restrict:
     @cached_property
     def _wanted(self):
         """The picker of the wanted vertices, and their wanted bits."""
-        return _picker([v for v, _ in self.want]), tuple(b for _, b in self.want)
+        return iv._picker([v for v, _ in self.want]), tuple(b for _, b in self.want)
 
     @cached_property
     def _survivors(self):
-        return _picker(self.child_to_parent)
+        return iv._picker(self.child_to_parent)
 
     @cached_property
     def _lift(self):
@@ -138,7 +126,7 @@ class Restrict:
             source[v] = j
         if None in source:
             raise InternalInvariantViolation("move leaves parent bits unset")
-        return _picker(source)
+        return iv._picker(source)
 
     def lift(self, child_bits: tuple) -> tuple:
         """The parent bits that this move restricts to ``child_bits``."""
@@ -206,7 +194,9 @@ class GenerationResult:
     them.  ``count`` is the product of the level sizes.  ``generate_unknots``
     keeps the greedy cycle decomposition it chose the route by, for every
     method.  ``replayed`` is the replay memo of this result alone
-    (``replay_certificate``); a ``replace`` copy starts with an empty one."""
+    (``replay_certificate``): a dict from (level, index suffix) to the bits
+    that took that node to the end rule.  A ``replace`` copy starts with an
+    empty one."""
 
     shadow: pm.Shadow
     method: str
@@ -214,7 +204,7 @@ class GenerationResult:
     levels: tuple
     bound: int
     decomposition: dc.CycleDecomposition | None = None
-    replayed: set = field(default_factory=set, init=False, repr=False, compare=False)
+    replayed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -251,17 +241,20 @@ def _family(shadow, method, options, outermost_fastest, bound, collided):
     then the base assignments.  The outermost level's digit varies fastest
     in the output index, or slowest.  The outputs are lifted from the bases
     one level at a time, so outputs that take the same inner options share
-    their lift up to there; ``collided`` is raised when two outputs have
-    the same bits."""
+    their lift up to there.  Each move's lift picker and wanted bits, what
+    ``Restrict.lift`` reads on every call, are read once a level, so a lift
+    costs one picker call.
+    ``collided`` is raised when two outputs have the same bits."""
     sizes = [len(o) for o in options]
     strides = [math.prod(sizes[:k]) if outermost_fastest else math.prod(sizes[k + 1:])
                for k in range(len(sizes))]
     *moves, lifted = options
     for level_moves in reversed(moves):
+        lifts = [(m._lift, m._wanted[1]) for m in level_moves]
         if outermost_fastest:
-            lifted = [m.lift(bits) for bits in lifted for m in level_moves]
+            lifted = [f(bits + w) for bits in lifted for f, w in lifts]
         else:
-            lifted = [m.lift(bits) for m in level_moves for bits in lifted]
+            lifted = [f(bits + w) for f, w in lifts for bits in lifted]
     if len(set(lifted)) != len(lifted):
         raise InternalInvariantViolation(collided)
     return GenerationResult(shadow, method,
@@ -457,11 +450,12 @@ def replay_certificate(result: GenerationResult, index: int) -> bool:
     move's check or the end rule fails.
 
     After the first move, a replay stops early at a node that an earlier
-    replay of this result took to the end rule.  A node is (level k, the
-    index with the digits of the levels before k zeroed, the bits before
-    level k's move): the index fixes the moves from level k on, and the
-    bits are the diagram's own, so a tampered output gets nodes of its own.
-    ``result.replayed`` holds the nodes; they enter it only when their
+    replay of this result took to the end rule, with the same bits.  A node
+    is (level k, the index with the digits of the levels before k zeroed):
+    the index suffix fixes the moves from level k on.  ``result.replayed``
+    maps each node to the bits before level k's move that replayed from
+    there; the bits are the diagram's own, so a tampered output whose bits
+    differ misses the memo and replays on.  A node enters it only when its
     replay reached the end rule."""
     diagram = result.diagrams[index]
     shadow, bits = diagram.shadow, diagram.bits
@@ -471,10 +465,10 @@ def replay_certificate(result: GenerationResult, index: int) -> bool:
     try:
         for k, level in enumerate(result.levels[:-1]):
             if k:
-                key = (k, rest, bits)
-                if key in done:
+                node = (k, rest)
+                if done.get(node) == bits:
                     break
-                path.append(key)
+                path.append((node, bits))
             digit = rest // level.stride % len(level.options)
             rest -= digit * level.stride
             move = level.options[digit]
@@ -509,11 +503,17 @@ def trefoil_diagram(shadow: pm.Shadow,
     force every straight-ahead walk through a repeated vertex).  Removing a
     curl never changes any assignment's knot class, so such shadows reduce
     by loop quotients until a usable cycle appears, and the constructed
-    diagram lifts back across the removed curls.
+    diagram lifts back across the removed curls.  The shadow is checked to
+    be a knot shadow here, once: a quotient of a knot shadow by a
+    straight-ahead cycle is one too, so the recursion skips the check.
     """
-    report = pm.component_report(shadow)
-    if not report.is_knot_shadow:
+    if not pm.component_report(shadow).is_knot_shadow:
         raise NotAKnotShadow("trefoil construction is defined for knot shadows")
+    return _trefoil(shadow, limit)
+
+
+def _trefoil(shadow, limit):
+    """``trefoil_diagram`` of a knot shadow."""
     if shadow.n == 0 or pm.all_cut_vertices(shadow):
         return None
     cyc = None
@@ -535,7 +535,7 @@ def _trefoil_over_quotient(shadow, cyc, limit):
     """Solve the quotient by a cycle and lift back with the removed strand
     on top; the quotient keeps a non-cut vertex, so a trefoil exists."""
     step = dc.quotient(shadow, cyc)
-    inner = trefoil_diagram(step.child, limit)
+    inner = _trefoil(step.child, limit)
     if inner is None:
         raise InternalInvariantViolation(
             "the quotient lost the non-cut structure")

@@ -20,6 +20,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from . import planemap as pm
 from .errors import (
@@ -155,6 +156,17 @@ def assignments(shadow: pm.Shadow):
     n = shadow.n
     for k in range(1 << n):
         yield Diagram(shadow, tuple((k >> i) & 1 for i in range(n)))
+
+
+def _picker(indices):
+    """``seq`` -> the tuple of ``seq[i]`` over ``indices``, for a tuple
+    ``seq``.  ``itemgetter`` of one index returns the item, not a tuple, and
+    takes no zero indices, so those cases slice the sequence."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(slice(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +861,9 @@ class _ShadowRecord:
     R1 curl removal never reads a bit, so the shadow's curl quotient (its R1
     closure, and ``keep``, the parent vertex of each quotient vertex) is
     computed once, and a diagram's verdict depends only on its bits at
-    ``keep``.  Verdicts are memoized on those bits, ``limit`` and
-    ``riii_depth``.
+    ``keep``.  ``pick`` is the picker of those bits, built once, so a
+    diagram's quotient bits cost one ``itemgetter`` call.  Verdicts are
+    memoized on those bits, ``limit`` and ``riii_depth``.
 
     The greedy runs of the quotient's diagrams share a path-compressed
     tree, grown as diagrams arrive.  A run's moves, and the shadow it
@@ -884,7 +897,7 @@ class _ShadowRecord:
     are cached where they are computed, and outlive the record.
     """
 
-    __slots__ = ("shadow", "quotient", "keep", "verdicts", "root", "nodes")
+    __slots__ = ("shadow", "quotient", "keep", "pick", "verdicts", "root", "nodes")
 
     def __init__(self, shadow: pm.Shadow):
         if not pm.component_report(shadow).is_knot_shadow:
@@ -898,6 +911,7 @@ class _ShadowRecord:
                 if hit:
                     work.update(u for u in hit[1] if state.twin[4 * u] >= 0)
         reduced, self.keep = state.to_diagram()
+        self.pick = _picker(self.keep)
         self.shadow = shadow
         self.quotient = reduced.shadow
         self.verdicts = {}
@@ -1003,11 +1017,11 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     its shadow record is built.
 
     Both certificates are taken on the shadow's curl quotient, with the
-    bits restricted to its vertices; removing a curl keeps the knot.  The
-    last shadow classified keeps its record: verdicts memoized on the
-    restricted bits, ``limit`` and ``riii_depth``, and one path-compressed
-    tree of greedy simplifier runs that branches on the outcomes of the
-    move tests.  The classes of residues are cached behind
+    bits restricted to its vertices by the record's picker; removing a curl
+    keeps the knot.  The last shadow classified keeps its record: verdicts
+    memoized on the restricted bits, ``limit`` and ``riii_depth``, and one
+    path-compressed tree of greedy simplifier runs that branches on the
+    outcomes of the move tests.  The classes of residues are cached behind
     ``residue_class``.  A diagram follows the tree's edges while its bits
     give the logged tests their logged outcomes, and simplifies only from
     the first test where they do not.  A leaf keeps the residue's shadow,
@@ -1015,8 +1029,7 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     Repeated verdicts cost a lookup.
     """
     rec = _shadow_record(diagram.shadow)
-    bits = diagram.bits
-    return rec.verdict(tuple(bits[v] for v in rec.keep), limit, riii_depth)
+    return rec.verdict(rec.pick(diagram.bits), limit, riii_depth)
 
 
 def _census_walk(state, limit, memo):

@@ -4,8 +4,6 @@ Each test prints one pass/fail line; the suite passing is the exit
 criterion for the build.
 """
 
-import pytest
-
 from unknotforge import acceptance
 
 

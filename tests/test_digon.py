@@ -8,7 +8,6 @@ from unknotforge import planemap as pm
 from unknotforge.errors import (
     CyclesNotDistinct,
     MalformedRoots,
-    NoAvoidingDigon,
     NotADigon,
     PreconditionViolated,
 )

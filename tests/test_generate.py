@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from unknotforge import planemap as pm
 from unknotforge.errors import (
     InternalInvariantViolation,
     LimitExceeded,
+    NotAKnotShadow,
     SideIrrelevantForSingletonCycle,
 )
 
@@ -366,6 +368,25 @@ def test_replay_all_replays_each_output_through_replay_certificate(
     assert calls == list(range(i + 1))
 
 
+@pytest.mark.parametrize("route, applies", [
+    ("cycles", 26), ("digons-odd", 60), ("digons-even", 10),
+])
+def test_replay_all_applies_each_shared_move_once(route, applies, monkeypatch):
+    # the memo's work, pinned: replaying every output applies each move of
+    # a shared suffix once, well under one apply per output and level
+    res = _route_result(route)
+    original = gn.Restrict.apply
+    calls = []
+
+    def counting(self, shadow, bits):
+        calls.append(self)
+        return original(self, shadow, bits)
+
+    monkeypatch.setattr(gn.Restrict, "apply", counting)
+    assert gn.replay_all(res)
+    assert len(calls) == applies < res.count * (len(res.levels) - 1)
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_replay_memo_belongs_to_one_result(route):
     # a replace copy of a replayed result starts with an empty memo, so a
@@ -669,6 +690,34 @@ def test_trefoil_on_shadow_without_multivertex_cycles():
     d = gn.trefoil_diagram(s)
     assert d is not None
     assert iv.classify(d).kind in ("trefoil_left", "trefoil_right")
+
+
+def test_trefoil_checks_its_shadow_once(monkeypatch):
+    # the shadow recurses over quotients five times; a quotient of a knot
+    # shadow by a straight-ahead cycle is one too, so trefoil_diagram checks
+    # only its own input, and still rejects a link
+    report = pm.component_report
+    checks, quotients = [], []
+
+    def counting(shadow):
+        if sys._getframe(1).f_code is gn.trefoil_diagram.__code__:
+            checks.append(shadow)
+        return report(shadow)
+
+    over_quotient = gn._trefoil_over_quotient
+
+    def recursing(*args):
+        quotients.append(args)
+        return over_quotient(*args)
+
+    monkeypatch.setattr(pm, "component_report", counting)
+    monkeypatch.setattr(gn, "_trefoil_over_quotient", recursing)
+    s = pm.random_shadow(8, 2)
+    d = gn.trefoil_diagram(s)
+    assert iv.classify(d).kind in ("trefoil_left", "trefoil_right")
+    assert checks == [s] and len(quotients) == 5
+    with pytest.raises(NotAKnotShadow):
+        gn.trefoil_diagram(pm.build_shadow([(0, 6), (2, 4), (1, 5), (3, 7)]))
 
 
 def test_loop_quotient_doubles_census_classes(corpus):

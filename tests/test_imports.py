@@ -1,8 +1,9 @@
-"""Every module-level import of the library is used.
+"""Every module-level import of the library and of its tests is used.
 
 No linter ships with the toolchain, so this one check of pyflakes' kind is
 made here with ``ast``: a name that a module imports at its top level and
-never names again is dead code left behind by a deletion.
+never names again is dead code left behind by a deletion.  The benchmark's
+own tests under ``perfbench/`` are not checked.
 """
 
 import ast
@@ -11,6 +12,7 @@ import pathlib
 import unknotforge
 
 SRC = pathlib.Path(unknotforge.__file__).resolve().parent
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def _unused_imports(source: str):
@@ -33,6 +35,7 @@ def test_no_module_keeps_an_import_it_never_names():
               "from .errors import A, B\n\nB(os.path)\n")
     assert _unused_imports(source) == [(3, "system"), (4, "A")]
     modules = sorted(SRC.glob("*.py"))
-    assert len(modules) >= 10
-    for path in modules:
+    tests = sorted(TESTS.glob("*.py"))
+    assert len(modules) >= 10 and len(tests) >= 10
+    for path in modules + tests:
         assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name

@@ -816,15 +816,23 @@ def test_memo_keys_give_fresh_verdicts():
         assert f"{cls.name} {cls.presumed}" == fresh[settings[i]], settings[i]
 
 
+@pytest.mark.parametrize("shadow, q", [
+    (pm.chorizo(4), 0), (pm.trivial(), 0), (pm.cn(5), 5), (pm.random_shadow(10, 5), 7),
+], ids=("chorizo4", "trivial", "cn5", "random10_5"))
+def test_record_picks_the_quotient_bits(shadow, q):
+    # the record's picker against the bits read one quotient vertex at a
+    # time, on every assignment: no vertex, every vertex, and a curl quotient
+    rec = iv._ShadowRecord(shadow)
+    assert len(rec.keep) == q
+    for d in iv.assignments(shadow):
+        assert rec.pick(d.bits) == tuple(d.bits[v] for v in rec.keep), d.bits
+
+
 def _plain_verdict(rec, diagram, limit, riii_depth):
-    """The verdict of a quotient diagram simplified from scratch, or the
-    class of the error it raises."""
+    """The verdict of a quotient diagram simplified from scratch."""
     bits = tuple(diagram.bits[v] for v in rec.keep)
     reduced, _ = iv.simplify(iv.Diagram(rec.quotient, bits), riii_depth)
-    try:
-        return iv.residue_class(reduced, limit)
-    except ShadowError as e:
-        return type(e)
+    return iv.residue_class(reduced, limit)
 
 
 @functools.lru_cache(maxsize=1)
@@ -870,10 +878,7 @@ def test_tree_verdicts_equal_plain_verdicts(monkeypatch, cap):
     for calls in (by_shadow, shuffled):
         monkeypatch.setattr(iv, "_record", None)
         for d, (limit, depth) in calls:
-            try:
-                got = iv.classify(d, limit, depth)
-            except ShadowError as e:
-                got = type(e)
+            got = iv.classify(d, limit, depth)
             assert got == plain[d, (limit, depth)], (d, limit, depth)
             nodes = max(nodes, iv._record.nodes)
     if cap == 6:
