@@ -44,10 +44,11 @@ _MEMO_CAP = 4096
 class LaurentPoly:
     """Immutable Laurent polynomial in one variable with int coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict):
         self.terms = tuple(sorted((e, c) for e, c in terms.items() if c))
+        self._hash = None
 
     def __bool__(self):
         return bool(self.terms)
@@ -58,7 +59,13 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.terms)
+        """The hash of the term tuple, computed on first use: the census
+        merges its counts on ``KnotClass`` keys, which hash their polynomial
+        on every lookup."""
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.terms)
+        return h
 
     def __mul__(self, other):
         acc = {}
@@ -436,9 +443,12 @@ class _Mut:
 
     def excise(self, through, deleted=()):
         """Remove the vertices named in ``through`` by ``planemap.splice``;
-        new closed curves on them become free loops."""
-        _, loops = pm.splice(self.twin, through, deleted)
+        new closed curves on them become free loops.  Returns the surviving
+        vertices whose twin entries splice rewired: the two ends of each
+        rejoined strand."""
+        paths, loops = pm.splice(self.twin, through, deleted)
         self.free_loops += len(loops)
+        return {d >> 2 for path in paths.values() for d in (path[0], path[-1])}
 
     def type_a_walks(self, v):
         """``_type_a_walks`` of the current twin table, from its row."""
@@ -453,8 +463,11 @@ class _Mut:
     def run(self, stop=None):
         """Apply greedy moves until none applies: curl and bigon removals
         from the heap, lowest vertex first; when it is empty, the first
-        type-A collapse of a scan in vertex order, which queues every live
-        vertex again.
+        type-A collapse of a scan in vertex order.  Each move queues the
+        live vertices whose twin entries it rewired.  A curl or bigon test
+        at a vertex reads only its four twin entries and bits, which a run
+        never changes, and it fails only when no setting of its unknown
+        bits passes it; so a vertex left off the heap would fail again.
 
         Returns None when done.  Otherwise the run paused before a move
         test, which changed nothing, and the next call retries it: it
@@ -471,33 +484,30 @@ class _Mut:
         scan = self.scan
         try:
             while True:
-                while work:
+                if work:
                     v = work[0]
                     hit = twin[4 * v] >= 0 and (_try_r1(self, v)
                                                 or _try_r2(self, v))
                     heapq.heappop(work)
                     queued[v] = False
-                    if hit:
-                        move, neighbours = hit
-                        self.moves.append(move)
-                        self.row = None
-                        for u in neighbours:
-                            if twin[4 * u] >= 0 and not queued[u]:
-                                queued[u] = True
-                                heapq.heappush(work, u)
-                for scan in range(scan, n):
-                    if twin[4 * scan] >= 0:
-                        hit = _try_type_a(self, scan)
-                        if hit:
-                            break
+                    if not hit:
+                        continue
                 else:
-                    return None
-                self.moves.append(hit[0])
+                    for scan in range(scan, n):
+                        if twin[4 * scan] >= 0:
+                            hit = _try_type_a(self, scan)
+                            if hit:
+                                break
+                    else:
+                        return None
+                    scan = 0
+                move, neighbours = hit
+                self.moves.append(move)
                 self.row = None
-                scan = 0
-                work[:] = [u for u in range(n) if twin[4 * u] >= 0]
-                for u in work:
-                    queued[u] = True
+                for u in neighbours:
+                    if twin[4 * u] >= 0 and not queued[u]:
+                        queued[u] = True
+                        heapq.heappush(work, u)
         except _Pause as e:
             self.scan = scan
             return e.args[0]
@@ -626,7 +636,9 @@ def _type_a_walks(twin, v):
 def _try_type_a(state: _Mut, v):
     """Collapse the first walk from ``v`` whose strand passes over (or
     under) every crossing inside it: one test over the walks, with the
-    darts after each walk's first as its group."""
+    darts after each walk's first as its group.  The neighbours returned
+    are the surviving ends of the strands the collapse rejoined, the only
+    live vertices whose twin entries change."""
     walks = state.type_a_walks(v)
     if not walks:
         return None
@@ -636,8 +648,8 @@ def _try_type_a(state: _Mut, v):
     walk, interior = walks[k]
     over = (walk[1] & 1) == state.bits[walk[1] >> 2]
     side = pm.OVER if over else pm.UNDER
-    state.excise(pm.cycle_through(state.twin, walk), walk)
-    return ("ta", v, side, interior), set()
+    touched = state.excise(pm.cycle_through(state.twin, walk), walk)
+    return ("ta", v, side, interior), touched
 
 
 def simplify(diagram: Diagram, riii_depth: int = 0):
@@ -1032,13 +1044,15 @@ def classify(diagram: Diagram, limit: int = DEFAULT_LIMIT,
     return rec.verdict(rec.pick(diagram.bits), limit, riii_depth)
 
 
-def _census_walk(state, limit, memo):
+def _census_walk(state, unknown, limit, memo):
     """Census counts of the assignments below ``state``.
 
-    The counts run over the assignments of the bits that are unknown and
-    live when the call starts; an unknown bit whose vertex the run removes
-    is never read and doubles them.  A run that ends enumerates the unknown
-    bits of its live vertices on the reduced diagram, classified by
+    The counts run over the assignments of the ``unknown`` bits that are
+    unknown and live when the call starts.  The caller knows that number:
+    ``census`` passes q, and a paused walk passes its unknown live bits
+    less the one it sets.  An unknown bit whose vertex the run removes is
+    never read and doubles the counts.  A run that ends enumerates the
+    unknown bits of its live vertices on the reduced diagram, classified by
     ``residue_class``.  A run that pauses on bit ``u`` goes on with ``u``
     set to 0 in place and set to 1 on a fork, and the sum of the two is
     memoized on the relabelled ``state.key()`` (at most ``_CENSUS_CAP``
@@ -1047,8 +1061,6 @@ def _census_walk(state, limit, memo):
     of a twist region depends on the bits read along its chain, not on the
     labels of the crossings the run has removed.
     """
-    twin, bits = state.twin, state.bits
-    unknown = sum(1 for v, b in enumerate(bits) if b is None and twin[4 * v] >= 0)
     u = state.run()
     if u is None:
         reduced, _ = state.to_diagram()
@@ -1063,16 +1075,16 @@ def _census_walk(state, limit, memo):
         left = len(free)
     else:
         key = state.key()
+        left = key[1].count(None)      # the unknown live bits at the pause
         counts = memo.get(key)
         if counts is None:
             one = state.fork(u, 1)
-            bits[u] = 0
-            counts = dict(_census_walk(state, limit, memo))
-            for cls, k in _census_walk(one, limit, memo).items():
+            state.bits[u] = 0
+            counts = dict(_census_walk(state, left - 1, limit, memo))
+            for cls, k in _census_walk(one, left - 1, limit, memo).items():
                 counts[cls] = counts.get(cls, 0) + k
             if len(memo) < _CENSUS_CAP:
                 memo[key] = counts
-        left = key[1].count(None)      # the unknown live bits at the pause
     if unknown > left:
         counts = {cls: k << (unknown - left) for cls, k in counts.items()}
     return counts
@@ -1087,10 +1099,12 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT):
     it at curls only, and they are classified by one walk of the greedy
     simplifier over a tree of partial assignments whose branches that pause
     in states equal up to an order-keeping relabelling are walked once
-    (``_census_walk``).  A shadow that is no knot shadow raises
-    ``NotAKnotShadow`` from its record, before the walk.  On a knot shadow
-    no assignment fails: the greedy moves keep the number of curves, so a
-    residue without crossings is one loop.
+    (``_census_walk``, which starts with all q bits unknown).  After a
+    move, a run re-tests only the vertices the move rewired (``_Mut.run``).
+    A shadow that is no knot shadow raises ``NotAKnotShadow`` from its
+    record, before the walk.  On a knot shadow no assignment fails: the
+    greedy moves keep the number of curves, so a residue without crossings
+    is one loop.
     """
     n = shadow.n
     if n > limit:
@@ -1098,7 +1112,7 @@ def census(shadow: pm.Shadow, limit: int = DEFAULT_LIMIT):
     rec = _shadow_record(shadow)
     q = len(rec.keep)
     state = _Mut(Diagram(rec.quotient, (None,) * q))
-    counts = _census_walk(state, limit, {})
+    counts = _census_walk(state, q, limit, {})
     return {cls: k << (n - q) for cls, k in counts.items()}
 
 

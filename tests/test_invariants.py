@@ -1365,3 +1365,168 @@ def test_census_of_a_link_shadow_raises_as_classify(monkeypatch, name):
     with pytest.raises(NotAKnotShadow) as e:
         iv.census(s)
     assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the runner re-tests only the vertices a move rewired
+# ---------------------------------------------------------------------------
+
+def _requeue_all(monkeypatch):
+    """Make every type-A collapse report every live vertex as touched, so
+    that each run queues them all again, as the runner once did."""
+    real = iv._try_type_a
+
+    def every_live_vertex(state, v):
+        hit = real(state, v)
+        if hit:
+            twin = state.twin
+            return hit[0], [u for u in range(len(twin) // 4) if twin[4 * u] >= 0]
+        return hit
+
+    monkeypatch.setattr(iv, "_try_type_a", every_live_vertex)
+
+
+def _calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` in a list of one int."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _oracle_cases():
+    """Shadows, each with its diagrams: every assignment up to 8 crossings,
+    48 random ones above."""
+    rng = random.Random(79)
+    shadows = [s for _, s in CORPUS if s.n]
+    shadows += [pm.cn(11), _fig8_cubed(), _curl_heavy_shadow()]
+    shadows += [pm.random_shadow(n, seed) for n in range(3, 15) for seed in (3, 8)]
+    cases = []
+    for s in shadows:
+        if s.n <= 8:
+            diagrams = list(iv.assignments(s))
+        else:
+            diagrams = [iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
+                        for _ in range(48)]
+        cases.append((s, diagrams))
+    return cases
+
+
+def _oracle_results(monkeypatch, cases):
+    """Per shadow: simplify at RIII depth 0 and 1 and classify at both
+    depths of each diagram, and the census with its class order."""
+    out = []
+    for s, diagrams in cases:
+        monkeypatch.setattr(iv, "_record", None)
+        out.append(([iv.simplify(d) for d in diagrams],
+                    [iv.simplify(d, 1) for d in diagrams],
+                    [iv.classify(d, iv.DEFAULT_LIMIT, depth)
+                     for depth in (0, 1) for d in diagrams],
+                    list(iv.census(s).items())))
+    return out
+
+
+def test_runs_equal_the_requeue_all_runs(monkeypatch):
+    # a vertex whose twin entries a collapse left alone fails its curl and
+    # bigon tests again, so queueing every live vertex after a collapse
+    # applies the same moves in the same order and gives the same censuses
+    # and verdicts, only with more tests
+    cases = _oracle_cases()
+    tries = _calls(monkeypatch, iv, "_try_r1")
+    got = _oracle_results(monkeypatch, cases)
+    rewired, tries[0] = tries[0], 0
+    with monkeypatch.context() as m:
+        _requeue_all(m)
+        want = _oracle_results(m, cases)
+    for (s, _), g, w in zip(cases, got, want):
+        assert g == w, s
+    assert sum(len(d) for _, d in cases) > 2000
+    assert rewired < tries[0]
+
+
+def _repeated_tests(monkeypatch, work):
+    """Call ``work`` and count its curl and bigon tests, and those that
+    repeat a failed test at a vertex whose four twin entries have not
+    changed since, within one run.  A run goes on over its pauses and into
+    its copies, which inherit its failures.  A paused run retries the test
+    it paused before, at ``work[0]``, after that vertex's curl test, so
+    that vertex's failed curl test is forgotten at a pause."""
+    failed = {}             # state -> {(test, v): the entries it failed on}
+    current = [None]
+    counts = {"tests": 0, "repeats": 0}
+    real_run, real_copy = iv._Mut.run, iv._Mut.with_bits
+
+    def run(self, stop=None):
+        current[0] = self
+        u = real_run(self, stop)
+        if u is not None and self.work:
+            failed.get(self, {}).pop(("_try_r1", self.work[0]), None)
+        return u
+
+    def with_bits(self, bits):
+        new = real_copy(self, bits)
+        failed[new] = dict(failed.get(self, {}))
+        return new
+
+    def watched(name):
+        real = getattr(iv, name)
+
+        def test(state, v):
+            if state is not current[0]:
+                return real(state, v)
+            entries = tuple(state.twin[4 * v:4 * v + 4])
+            seen = failed.setdefault(state, {})
+            counts["tests"] += 1
+            counts["repeats"] += seen.get((name, v)) == entries
+            hit = real(state, v)            # a pause is no failure
+            if not hit:
+                seen[name, v] = entries
+            return hit
+
+        monkeypatch.setattr(iv, name, test)
+
+    monkeypatch.setattr(iv._Mut, "run", run)
+    monkeypatch.setattr(iv._Mut, "with_bits", with_bits)
+    watched("_try_r1")
+    watched("_try_r2")
+    work()
+    return counts
+
+
+def _censuses_and_runs():
+    """Three censuses, and classify and simplify of generated outputs,
+    whose runs collapse one-sided walks."""
+    for s in (_fig8_cubed(), pm.cn(11), _curl_heavy_shadow()):
+        iv.census(s)
+    for s in _runner_shadows():
+        iv._record = None
+        for d in gn.generate_unknots(s).diagrams[:16]:
+            iv.classify(d)
+            iv.simplify(d)
+
+
+def test_no_run_repeats_a_test_that_failed_on_the_same_twin_entries(monkeypatch):
+    monkeypatch.setattr(iv, "_record", None)
+    with monkeypatch.context() as m:
+        counts = _repeated_tests(m, _censuses_and_runs)
+    assert counts["tests"] > 5000 and counts["repeats"] == 0
+    # the check sees the repeats of the runner that queued every live
+    # vertex again after a collapse
+    with monkeypatch.context() as m:
+        _requeue_all(m)
+        counts = _repeated_tests(m, _censuses_and_runs)
+    assert counts["repeats"] > 500
+
+
+def test_census_of_fig8_cubed_makes_the_pinned_tests(monkeypatch):
+    # a type-A collapse queues only the vertices it rewired; queueing every
+    # live vertex again made 2,007 move tests and 1,222 bigon tries
+    tests = _calls(monkeypatch, iv._Mut, "test")
+    bigons = _calls(monkeypatch, iv, "_try_r2")
+    iv.census(_fig8_cubed())
+    assert (tests[0], bigons[0]) == (1695, 782)
