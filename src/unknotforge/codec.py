@@ -268,8 +268,17 @@ def _emit_pd(diagram: iv.Diagram) -> str:
         raise UnsupportedConversion(
             "pd codes cannot express vertex-less components; use rotmap")
     bits = diagram.bits
-    return min(" ".join(map(getitem, rows, bits)) + "\n"
-               for rows in _pd_rows(shadow))
+    # the text is the least join over the candidate walks.  Each row is
+    # X[...] and its only "]" ends it, so no row is a prefix of another and
+    # the joins compare as their row tuples do: keep the candidates with the
+    # least row at each crossing in turn, and join the first one left
+    candidates = _pd_rows(shadow)
+    for v, b in enumerate(bits):
+        if len(candidates) == 1:
+            break
+        least = min(rows[v][b] for rows in candidates)
+        candidates = [rows for rows in candidates if rows[v][b] == least]
+    return " ".join(map(getitem, candidates[0], bits)) + "\n"
 
 
 _PD_ROW = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]")

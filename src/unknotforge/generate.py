@@ -85,7 +85,9 @@ class Restrict:
     ``want`` lists the (vertex, bit) pairs the move needs; every other
     vertex survives onto the smaller shadow ``child`` through
     ``child_to_parent``.  ``bigon``, when set, holds the two edge ids that
-    must bound a 2-face of the diagram's shadow.
+    must bound a 2-face of the diagram's shadow.  ``apply`` is the reference
+    form of the move; ``replay_certificate`` makes the same checks from a
+    result's replay plan, which holds the move's cached pickers.
     """
 
     want: tuple
@@ -193,10 +195,13 @@ class GenerationResult:
     takes, and its diagram, ``diagrams[i]``, is its base lifted back through
     them.  ``count`` is the product of the level sizes.  ``generate_unknots``
     keeps the greedy cycle decomposition it chose the route by, for every
-    method.  ``replayed`` is the replay memo of this result alone
-    (``replay_certificate``): a dict from (level, index suffix) to the bits
-    that took that node to the end rule.  A ``replace`` copy starts with an
-    empty one."""
+    method.  ``replayed`` is the replay plan of this result alone, empty
+    until the first ``replay_certificate``: one entry per move level, with
+    the level's stride, option count, each option's pickers, child shadow
+    and bigon, and the level's memo, a dict from index suffix to the bits
+    that took that node to the end rule (none at level 0).  A ``replace``
+    copy starts with an empty one, so a copy with other levels builds its
+    own plan."""
 
     shadow: pm.Shadow
     method: str
@@ -204,7 +209,7 @@ class GenerationResult:
     levels: tuple
     bound: int
     decomposition: dc.CycleDecomposition | None = None
-    replayed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    replayed: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -444,48 +449,66 @@ def _simplifies_to_trivial(diagram: iv.Diagram) -> bool:
     return diagram.n == 0 or iv.simplify(diagram)[0].n == 0
 
 
+def _replay_plan(result: GenerationResult) -> list:
+    """Fill ``result.replayed`` with the replay plan of its move levels and
+    return it.  The plan reads the moves only, never the generated bits."""
+    plan = [(level.stride, len(level.options),
+             [(*m._wanted, m._survivors, m.child, m.bigon) for m in level.options],
+             {} if k else None)
+            for k, level in enumerate(result.levels[:-1])]
+    result.replayed.extend(plan)
+    return plan
+
+
 def replay_certificate(result: GenerationResult, index: int) -> bool:
     """Apply the output's moves, outermost first; the construction holds when
     no crossings are left or the simplifier clears the rest.  False when a
     move's check or the end rule fails.
 
+    The moves come from the result's replay plan, ``result.replayed``,
+    which the first replay builds: one entry ``(stride, size, options,
+    memo)`` per move level.  Each option holds a move's wanted-bits picker,
+    wanted bits, survivors picker, child shadow and bigon, so a move makes
+    the checks of ``Restrict.apply`` without a method call.
+
     After the first move, a replay stops early at a node that an earlier
     replay of this result took to the end rule, with the same bits.  A node
     is (level k, the index with the digits of the levels before k zeroed):
-    the index suffix fixes the moves from level k on.  ``result.replayed``
-    maps each node to the bits before level k's move that replayed from
-    there; the bits are the diagram's own, so a tampered output whose bits
-    differ misses the memo and replays on.  A node enters it only when its
-    replay reached the end rule."""
+    the index suffix fixes the moves from level k on.  Level k's memo maps
+    each suffix to the bits before level k's move that replayed from there;
+    the bits are the diagram's own, so a tampered output whose bits differ
+    misses the memo and replays on.  A node enters it only when its replay
+    reached the end rule."""
     diagram = result.diagrams[index]
     shadow, bits = diagram.shadow, diagram.bits
-    done = result.replayed
     rest = index
     path = []
-    try:
-        for k, level in enumerate(result.levels[:-1]):
-            if k:
-                node = (k, rest)
-                if done.get(node) == bits:
-                    break
-                path.append((node, bits))
-            digit = rest // level.stride % len(level.options)
-            rest -= digit * level.stride
-            move = level.options[digit]
-            bits = move.apply(shadow, bits)
-            shadow = move.child
-        else:
-            if not _simplifies_to_trivial(iv.Diagram(shadow, bits)):
-                return False
-    except InternalInvariantViolation:
-        return False
-    done.update(path)
+    for stride, size, options, memo in result.replayed or _replay_plan(result):
+        if memo is not None:
+            if memo.get(rest) == bits:
+                break
+            path.append((memo, rest, bits))
+        digit = rest // stride % size
+        rest -= digit * stride
+        pick, wanted, survivors, child, bigon = options[digit]
+        if pick(bits) != wanted:
+            return False
+        if bigon is not None and not _bounds_a_face(shadow, bigon):
+            return False
+        shadow, bits = child, survivors(bits)
+    else:
+        if not _simplifies_to_trivial(iv.Diagram(shadow, bits)):
+            return False
+    for memo, suffix, node_bits in path:
+        memo[suffix] = node_bits
     return True
 
 
 def replay_all(result: GenerationResult) -> bool:
     """Does every output replay?  False at the first that does not.  Each is
-    a call of the module attribute ``replay_certificate``, which tracers wrap."""
+    a call of the module attribute ``replay_certificate``, in index order,
+    which tracers wrap; the first builds the result's replay plan and the
+    rest share its memos."""
     return all(replay_certificate(result, i) for i in range(result.count))
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import pytest
 
 from unknotforge import planemap as pm
@@ -24,6 +27,15 @@ def builder_corpus():
 
 
 CORPUS = builder_corpus()
+
+
+def load_braid():
+    """The benchmark's braid module, ``perfbench/braid.py``, loaded by path."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "braid.py"
+    spec = importlib.util.spec_from_file_location("perfbench_braid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def doubled_ring_link(n):

@@ -3,10 +3,11 @@
 import json
 import pathlib
 import random
+from operator import getitem
 
 import pytest
 
-from conftest import CORPUS, doubled_ring_link, plane_map_equal
+from conftest import CORPUS, doubled_ring_link, load_braid, plane_map_equal
 from unknotforge import codec as cd
 from unknotforge import generate as gn
 from unknotforge import invariants as iv
@@ -172,6 +173,39 @@ def test_pd_rejects_shadow_and_trivial():
         cd.emit(pm.standard_trefoil(), "pd")
     with pytest.raises(UnsupportedConversion):
         cd.emit(iv.trivial_diagram(), "pd")
+
+
+def _least_join(diagram):
+    """PD text as the least of the joins of every candidate walk's rows."""
+    return min(" ".join(map(getitem, rows, diagram.bits)) + "\n"
+               for rows in cd._pd_rows(diagram.shadow))
+
+
+def test_pd_emission_is_the_least_join_of_the_candidates():
+    # emission keeps the least row crossing by crossing; every assignment of
+    # the corpus and of two-component doubled rings, whose candidates combine
+    # one walk per component, and the generated outputs and random
+    # assignments of closed braids, against the least of the joined texts
+    braid = load_braid()
+    rng = random.Random(5)
+    shadows = [s for _, s in CORPUS if s.n] + [doubled_ring_link(k) for k in (2, 4, 6)]
+    diagrams = [d for s in shadows for d in iv.assignments(s)]
+    words = [(braid.torus_word(k), 3) for k in (4, 5, 7)]
+    words += [(braid.random_knot_word(rng, k, length), k)
+              for k, length in ((3, 10), (3, 16), (4, 15), (4, 25))]
+    for word, strands in words:
+        s = cd.parse(braid.braid_pd(word, strands), "pd").shadow
+        diagrams += gn.generate_unknots(s).diagrams
+        diagrams += [iv.Diagram(s, tuple(rng.randrange(2) for _ in range(s.n)))
+                     for _ in range(30)]
+    decided_late = 0
+    for d in diagrams:
+        text = cd.emit(d, "pd")
+        assert text == _least_join(d), d
+        firsts = sorted(rows[0][d.bits[0]] for rows in cd._pd_rows(d.shadow))
+        decided_late += firsts[0] == firsts[1]
+    # in many diagrams the first row leaves more than one candidate
+    assert decided_late > len(diagrams) // 10
 
 
 def test_detect_format():

@@ -368,23 +368,33 @@ def test_replay_all_replays_each_output_through_replay_certificate(
     assert calls == list(range(i + 1))
 
 
-@pytest.mark.parametrize("route, applies", [
+@pytest.mark.parametrize("route, moves", [
     ("cycles", 26), ("digons-odd", 60), ("digons-even", 10),
 ])
-def test_replay_all_applies_each_shared_move_once(route, applies, monkeypatch):
+def test_replay_all_applies_each_shared_move_once(route, moves, monkeypatch):
     # the memo's work, pinned: replaying every output applies each move of
-    # a shared suffix once, well under one apply per output and level
+    # a shared suffix once, well under one move per output and level.  A
+    # move that passes its checks picks its survivors' bits once, in replay
+    # and in Restrict.apply alike, so the picks count the moves applied
     res = _route_result(route)
-    original = gn.Restrict.apply
+    original = gn.Restrict._survivors.func
     calls = []
 
-    def counting(self, shadow, bits):
-        calls.append(self)
-        return original(self, shadow, bits)
+    def counting(self):
+        pick = original(self)
 
-    monkeypatch.setattr(gn.Restrict, "apply", counting)
+        def counted(bits):
+            calls.append(self)
+            return pick(bits)
+        return counted
+
+    monkeypatch.setattr(gn.Restrict, "_survivors", property(counting))
+    d = res.diagrams[0]
+    res.certificate(0)[0].apply(d.shadow, d.bits)
+    assert len(calls) == 1
+    calls.clear()
     assert gn.replay_all(res)
-    assert len(calls) == applies < res.count * (len(res.levels) - 1)
+    assert len(calls) == moves < res.count * (len(res.levels) - 1)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -434,11 +444,80 @@ def test_replay_memo_keeps_a_tampered_survivor_apart(route):
     for v in survivors:
         tampered = _flipped(res, i, v)
         ok = gn.replay_all(tampered)
-        assert any(key[:2] == (k + 1, 0) for key in tampered.replayed)
+        stride, size, options, memo = tampered.replayed[k + 1]
+        assert 0 in memo
         assert ok == all(_replays_alone(tampered, j) for j in range(res.count))
         rejected += not ok
     # only the odd route's free base vertex replays either way
     assert rejected == len(survivors) - (route == "digons-odd")
+
+
+def _replays_by_apply(result, i):
+    """Output i replayed with no plan and no memo: its moves applied one by
+    one through ``Restrict.apply``, then the end rule."""
+    d = result.diagrams[i]
+    shadow, bits = d.shadow, d.bits
+    try:
+        for move in result.certificate(i):
+            shadow, bits = move.child, move.apply(shadow, bits)
+    except InternalInvariantViolation:
+        return False
+    return gn._simplifies_to_trivial(iv.Diagram(shadow, bits))
+
+
+def _oracle_results():
+    results = [_route_result(route) for route in ROUTES]
+    shadows = [s for _, s in ac.builder_corpus()]
+    shadows += [pm.random_shadow(n, s) for n in range(3, 13) for s in (1, 6)]
+    return results + [gn.generate_unknots(s) for s in shadows]
+
+
+def _replays_in_order(result):
+    """Every output of ``result`` replayed in index order, on one memo."""
+    return [gn.replay_certificate(result, i) for i in range(result.count)]
+
+
+def test_replay_agrees_with_the_moves_applied_one_by_one():
+    # the oracle: the plan and its memos decide every output, and every
+    # one-bit tamper of the first, a middle and the last output, as the
+    # memo-free replay through Restrict.apply does, and a second replay of
+    # the tampered output decides it again
+    rejected = flips = 0
+    for res in _oracle_results():
+        expected = [_replays_by_apply(res, i) for i in range(res.count)]
+        assert all(expected)
+        assert _replays_in_order(res) == expected
+        for i in sorted({0, res.count // 2, res.count - 1}):
+            for v in range(res.shadow.n):
+                tampered = _flipped(res, i, v)
+                expected[i] = _replays_by_apply(tampered, i)
+                assert _replays_in_order(tampered) == expected, (res.shadow, i, v)
+                # a failed replay leaves no node behind for the next one
+                assert gn.replay_certificate(tampered, i) == expected[i]
+                assert gn.replay_all(_flipped(res, i, v)) == expected[i]
+                rejected += not expected[i]
+                flips += 1
+            expected[i] = True
+    assert (rejected, flips) == (686, 692)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_replay_plan_is_rebuilt_for_a_copy_with_other_levels(route):
+    # two options of the first level with a choice swapped: outputs that
+    # took either of them no longer replay, and a copy that kept the
+    # original's plan would still accept them
+    res = _route_result(route)
+    assert gn.replay_all(res) and res.replayed
+    k = next(k for k, level in enumerate(res.levels[:-1]) if len(level.options) > 1)
+    levels = list(res.levels)
+    a, b, *others = levels[k].options
+    levels[k] = dataclasses.replace(levels[k], options=(b, a, *others))
+    swapped = dataclasses.replace(res, levels=tuple(levels))
+    assert not swapped.replayed
+    expected = [_replays_by_apply(swapped, i) for i in range(res.count)]
+    assert not all(expected)
+    assert _replays_in_order(swapped) == expected
+    assert not gn.replay_all(dataclasses.replace(swapped))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Bracket, writhe, normalized polynomial, simplify, classify, census."""
 
 import functools
-import importlib.util
 import itertools
 import json
 import math
@@ -13,7 +12,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, doubled_ring_link
+from conftest import CORPUS, doubled_ring_link, load_braid
 from unknotforge import codec as cd
 from unknotforge import digon
 from unknotforge import generate as gn
@@ -522,7 +521,7 @@ def _reference_riii_moves(diagram):
 def _slide_shadows():
     """The corpus, random shadows of 5-21 crossings, closed 3- and 4-braids
     and doubled rings."""
-    braid = _load_braid()
+    braid = load_braid()
     out = [s for _, s in CORPUS]
     out += [pm.random_shadow(n, seed) for n in range(5, 22) for seed in range(4)]
     out += [cd.parse(braid.braid_pd(braid.torus_word(k), 3), "pd").shadow
@@ -568,7 +567,7 @@ def test_riii_slides_match_the_whole_shadow_reference():
 def test_one_slide_certifies_the_torus_closure_families(k, outputs, unresolved):
     # the greedy moves stall on these families above the oracle limit; one
     # triangle slide lets them run down to no crossings
-    braid = _load_braid()
+    braid = load_braid()
     shadow = cd.parse(braid.braid_pd(braid.torus_word(k), 3), "pd").shadow
     diagrams = gn.generate_unknots(shadow).diagrams
     assert len(diagrams) == outputs
@@ -963,17 +962,9 @@ def test_a_mirror_reads_its_bits_from_the_shared_leaf(monkeypatch):
 # the resumable simplifier run
 # ---------------------------------------------------------------------------
 
-def _load_braid():
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "braid.py"
-    spec = importlib.util.spec_from_file_location("perfbench_braid", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _runner_shadows():
     """The corpus, random shadows and closed 3-braids."""
-    braid = _load_braid()
+    braid = load_braid()
     rng = random.Random(43)
     out = [s for _, s in CORPUS if s.n]
     out += [pm.random_shadow(n, seed) for n in range(3, 15) for seed in (5, 6)]
@@ -1124,7 +1115,7 @@ def test_resumed_runs_log_what_unpaused_runs_log():
 
 def _braid_shadows(specs, seed):
     """Closed braids, one for each (strands, length) in ``specs``."""
-    braid = _load_braid()
+    braid = load_braid()
     rng = random.Random(seed)
     return [cd.parse(braid.braid_pd(braid.random_knot_word(rng, k, length), k),
                      "pd").shadow for k, length in specs]
